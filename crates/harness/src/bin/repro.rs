@@ -64,7 +64,7 @@
 //! experiment, the call-path span tree (integer-nanosecond totals and
 //! self times), the table-capacity counters, queue-depth samples, and
 //! the allocation delta (null unless the binary installs the counting
-//! allocator — `bench` does, `repro` does not). A human-readable
+//! allocator — `perfbench` does, `repro` does not). A human-readable
 //! breakdown is printed after each experiment's tables.
 //! `--profile-folded` writes the same trees as collapsed stacks
 //! (`e1;experiment;sim.run;queue.pop 12345` — self time in ns), ready

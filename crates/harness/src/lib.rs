@@ -48,3 +48,51 @@ pub use relay::{run_relay, run_relay_lams, run_relay_sr, RelayConfig};
 pub use scenario::{
     run, run_gbn, run_in, run_lams, run_lams_in, run_sr, BurstCfg, ScenarioConfig, ScenarioQueue,
 };
+
+#[cfg(test)]
+mod tests {
+    use crate::runner::run_experiments;
+
+    fn ids(ids: &[&str]) -> Vec<String> {
+        ids.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn experiment_kernel_captures_perf() {
+        let run = run_experiments(&ids(&["e1"]), true).remove(0);
+        assert!(run.output.is_some());
+        assert_eq!(run.audit.total_findings, 0, "e1: protocol audit failed");
+        let (q, wall, runs) = run.perf.expect("e1 runs simulations");
+        assert!(q.popped > 0);
+        assert!(wall > 0.0);
+        assert!(runs > 0);
+    }
+
+    #[test]
+    fn unknown_experiment_is_none() {
+        assert!(crate::experiments::run_by_id("e999", true).is_none());
+        let run = run_experiments(&ids(&["e999"]), true).remove(0);
+        assert!(run.output.is_none());
+        assert!(run.perf.is_none(), "an unknown id runs no simulations");
+    }
+
+    #[test]
+    fn total_absorbs_all_runs() {
+        // Fold the per-experiment perf blocks into one quick-all total:
+        // queue counters, wall seconds and run counts all add up.
+        let runs = run_experiments(&ids(&["e1", "e7"]), true);
+        let mut total = sim_core::QueueProfile::default();
+        let (mut wall, mut count) = (0.0, 0);
+        for (q, w, r) in runs.iter().filter_map(|r| r.perf.as_ref()) {
+            total.absorb(q);
+            wall += w;
+            count += r;
+        }
+        let (qa, wa, ra) = runs[0].perf.expect("e1 perf");
+        let (qb, wb, rb) = runs[1].perf.expect("e7 perf");
+        assert_eq!(total.popped, qa.popped + qb.popped);
+        assert_eq!(total.scheduled, qa.scheduled + qb.scheduled);
+        assert!((wall - (wa + wb)).abs() < 1e-12);
+        assert_eq!(count, ra + rb);
+    }
+}

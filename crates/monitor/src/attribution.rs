@@ -34,8 +34,10 @@
 //! the link's announced `sender_config` with the formula in
 //! `analysis::periods::resolving_period_raw`. Stop-Go throttle spans and
 //! enforced-recovery restarts pause the protocol clock, so their overlap
-//! with the cycle is excluded before comparing. Excesses surface as
-//! [`Invariant::ResolutionBound`] findings.
+//! with the cycle is excluded before comparing. On wall-clock streams the
+//! monitor's `wall_slack` is added to the bound, as it is to every other
+//! audited bound. Excesses surface as [`Invariant::ResolutionBound`]
+//! findings.
 
 use crate::finding::{AuditFinding, Findings, Invariant};
 use sim_core::Instant;
@@ -286,6 +288,9 @@ pub struct LinkAttribution {
     /// Analytic resolving-period bound from the announced config;
     /// `None` until armed.
     bound_ns: Option<u64>,
+    /// Allowance added to `bound_ns` before comparing (the monitor's
+    /// wall slack on wall-clock streams, 0 on sim streams).
+    slack_ns: u64,
     chains: HashMap<u64, Chain>,
     /// Checkpoint emission instants by index (receiver side).
     cp_emit: BTreeMap<u64, u64>,
@@ -306,6 +311,7 @@ impl LinkAttribution {
             experiment,
             cfg_node: "",
             bound_ns: None,
+            slack_ns: 0,
             chains: HashMap::new(),
             cp_emit: BTreeMap::new(),
             cp_rx: BTreeMap::new(),
@@ -323,15 +329,18 @@ impl LinkAttribution {
     }
 
     /// Sender announced its timing: arm attribution and fix the
-    /// analytic resolution bound.
+    /// analytic resolution bound. A cycle is flagged once it exceeds
+    /// the bound plus `slack_ns`.
     pub fn on_sender_config(
         &mut self,
         node: &'static str,
         w_cp_ns: u64,
         rtt_ns: u64,
         c_depth: u64,
+        slack_ns: u64,
     ) {
         self.cfg_node = node;
+        self.slack_ns = slack_ns;
         let bound = analysis::periods::resolving_period_raw(
             rtt_ns as f64 / 1e9,
             w_cp_ns as f64 / 1e9,
@@ -371,6 +380,7 @@ impl LinkAttribution {
             experiment,
             cfg_node,
             bound_ns,
+            slack_ns,
             chains,
             cp_emit,
             cp_rx,
@@ -422,8 +432,12 @@ impl LinkAttribution {
                     agg.res_cycles += 1;
                     agg.res_max_ns = agg.res_max_ns.max(adjusted);
                     if let Some(bound) = *bound_ns {
-                        if adjusted > bound {
+                        if adjusted > bound + *slack_ns {
                             agg.res_violations += 1;
+                            let slack = match *slack_ns {
+                                0 => String::new(),
+                                s => format!(" + wall slack {:.3} ms", s as f64 / 1e6),
+                            };
                             out.push(AuditFinding {
                                 t,
                                 node: cfg_node,
@@ -432,7 +446,7 @@ impl LinkAttribution {
                                 window: (Instant::from_nanos(err_t), t),
                                 detail: format!(
                                     "NAK resolution took {:.3} ms (adjusted; raw {:.3} ms) \
-                                     > analytic resolving period {:.3} ms for seq {seq}",
+                                     > analytic resolving period {:.3} ms{slack} for seq {seq}",
                                     adjusted as f64 / 1e6,
                                     cycle as f64 / 1e6,
                                     bound as f64 / 1e6,
@@ -598,7 +612,7 @@ mod tests {
     fn armed() -> LinkAttribution {
         let mut at = LinkAttribution::new("e1");
         // W_cp = 5 ms, RTT = 27 ms, C_depth = 3 → bound = 44.5 ms.
-        at.on_sender_config("tx", 5 * MS, 27 * MS, 3);
+        at.on_sender_config("tx", 5 * MS, 27 * MS, 3, 0);
         at
     }
 

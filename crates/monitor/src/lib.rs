@@ -96,6 +96,21 @@ pub struct MonitorConfig {
     pub wall_slack: Duration,
 }
 
+impl MonitorConfig {
+    /// Allowance added to every audited timing bound, nanoseconds, on a
+    /// stream in `clock_domain`. Wall-clock streams carry timer-fire and
+    /// socket jitter virtual time never has, so their bounds widen by
+    /// `wall_slack` and the invariants check protocol logic, not OS
+    /// scheduling. Sim streams keep the exact bounds.
+    fn slack_ns(&self, clock_domain: Option<&str>) -> u64 {
+        if clock_domain == Some("wall") {
+            self.wall_slack.as_nanos()
+        } else {
+            0
+        }
+    }
+}
+
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
@@ -464,16 +479,7 @@ impl Monitor {
                             ..
                         },
                     ) => {
-                        // Wall-clock streams carry timer-fire and socket
-                        // jitter virtual time never has; widen every
-                        // audited bound so the invariants check protocol
-                        // logic, not OS scheduling. Sim streams keep the
-                        // exact bounds.
-                        let slack = if self.clock_domain == Some("wall") {
-                            self.cfg.wall_slack.as_nanos()
-                        } else {
-                            0
-                        };
+                        let slack = self.cfg.slack_ns(self.clock_domain);
                         la.on_sender_config(
                             t,
                             rec.node,
@@ -529,7 +535,10 @@ impl Monitor {
                             c_depth,
                             ..
                         },
-                    ) => at.on_sender_config(rec.node, w_cp_ns, rtt_ns, c_depth),
+                    ) => {
+                        let slack = self.cfg.slack_ns(self.clock_domain);
+                        at.on_sender_config(rec.node, w_cp_ns, rtt_ns, c_depth, slack)
+                    }
                     (Side::Tx, &TraceEvent::IFrameTx { seq, retx, .. }) => at.on_tx(t, seq, retx),
                     (Side::Tx, &TraceEvent::Renumbered { old_seq, new_seq }) => {
                         at.on_renumbered(old_seq, new_seq)
@@ -879,6 +888,157 @@ mod tests {
             "wall-domain jitter must not be flagged: {:?}",
             m.findings()
         );
+    }
+
+    /// One NAK cycle whose resolution takes 20 ms against an analytic
+    /// resolving period `R + W_cp/2 + C_depth·W_cp` of 2 + 5 + 10 =
+    /// 17 ms: 3 ms over the bound, well inside the default wall slack.
+    /// Every other audited bound holds exactly.
+    fn slow_nak_cycle() -> Vec<TraceRecord> {
+        let cp_emit = |t_ms: u64, index: u64, covered: u64, naks: u64| {
+            rec(
+                t_ms * MS,
+                "rx",
+                TraceEvent::CheckpointEmitted {
+                    index,
+                    covered,
+                    naks,
+                    enforced: false,
+                    stop: false,
+                },
+            )
+        };
+        let cp_rx = |t_ms: u64, index: u64, covered: u64, naks: u64| {
+            rec(
+                t_ms * MS,
+                "tx",
+                TraceEvent::CheckpointReceived {
+                    index,
+                    covered,
+                    naks,
+                },
+            )
+        };
+        let tx = |t_ms: u64, seq: u64, retx: bool| {
+            rec(
+                t_ms * MS,
+                "tx",
+                TraceEvent::IFrameTx {
+                    seq,
+                    retx,
+                    len: 1024,
+                },
+            )
+        };
+        let rx = |t_ms: u64, seq: u64, clean: bool| {
+            rec(
+                t_ms * MS,
+                "rx",
+                TraceEvent::IFrameRx {
+                    seq,
+                    clean,
+                    len: 1024,
+                },
+            )
+        };
+        vec![
+            rec(0, "sim", TraceEvent::RunStarted),
+            rec(
+                0,
+                "tx",
+                TraceEvent::SenderConfig {
+                    w_cp_ns: 10 * MS,
+                    c_depth: 1,
+                    rtt_ns: 2 * MS,
+                    cp_timeout_ns: 16 * MS,
+                    resolving_ns: 60 * MS,
+                    failure_ns: 60 * MS,
+                },
+            ),
+            tx(1, 1, false),
+            rx(2, 1, false),
+            rec(
+                2 * MS,
+                "rx",
+                TraceEvent::Nak {
+                    seq: 1,
+                    cp_index: 1,
+                },
+            ),
+            cp_emit(5, 1, 0, 1),
+            cp_rx(6, 1, 0, 1),
+            cp_emit(15, 2, 0, 1),
+            cp_rx(16, 2, 0, 1),
+            // The retransmission is decided 20 ms after the error.
+            rec(
+                22 * MS,
+                "tx",
+                TraceEvent::Renumbered {
+                    old_seq: 1,
+                    new_seq: 2,
+                },
+            ),
+            rec(
+                22 * MS,
+                "tx",
+                TraceEvent::RetxCause {
+                    seq: 2,
+                    cause: "nak",
+                    cp_index: 1,
+                },
+            ),
+            tx(22, 2, true),
+            rx(23, 2, true),
+            cp_emit(25, 3, 2, 0),
+            cp_rx(26, 3, 2, 0),
+            rec(
+                26 * MS,
+                "tx",
+                TraceEvent::BufferRelease {
+                    seq: 2,
+                    held_ns: 25 * MS,
+                    cp_index: 3,
+                },
+            ),
+            rec(
+                27 * MS,
+                "sim",
+                TraceEvent::RunFinished {
+                    deadline_hit: false,
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn resolution_slack_applies_only_to_wall_streams() {
+        // Sim streams keep the exact bound: the 3 ms excess is flagged.
+        let mut m = feed(&slow_nak_cycle());
+        let kinds: Vec<Invariant> = m.findings().iter().map(|f| f.invariant).collect();
+        assert_eq!(kinds, [Invariant::ResolutionBound], "{:?}", m.findings());
+        let a = &m.take_report().experiments[0].attribution;
+        assert_eq!((a.res_cycles, a.res_max_ns), (1, 20 * MS));
+        assert_eq!((a.res_bound_ns, a.res_violations), (17 * MS, 1));
+        // Under a wall-clock header the same excess is scheduling
+        // jitter: the wall slack widens the attribution cross-check as
+        // it widens every audited bound, and the reported bound stays
+        // the analytic one.
+        let mut records = slow_nak_cycle();
+        records.insert(
+            0,
+            rec(
+                0,
+                "host",
+                TraceEvent::TraceHeader {
+                    clock_domain: "wall",
+                },
+            ),
+        );
+        let mut m = feed(&records);
+        assert_eq!(m.total_findings(), 0, "{:?}", m.findings());
+        let a = &m.take_report().experiments[0].attribution;
+        assert_eq!((a.res_cycles, a.res_max_ns), (1, 20 * MS));
+        assert_eq!((a.res_bound_ns, a.res_violations), (17 * MS, 0));
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! [`CountingAlloc`] forwards to the system allocator and counts
 //! allocation events and requested bytes in relaxed atomics — one
 //! `fetch_add` pair per allocation, nothing on the free path. A binary
-//! opts in by declaring it as its `#[global_allocator]` (the `bench`
-//! crate does this behind its `alloc-profile` feature); everything else
-//! pays nothing.
+//! opts in by declaring it as its `#[global_allocator]` (the
+//! `perfbench` benchmark does); everything else pays nothing.
 //!
 //! [`snapshot`] reads the totals. It returns `None` until the first
 //! counted allocation, which doubles as runtime detection: a binary

@@ -14,8 +14,8 @@
 //! * **Queue-depth sampling** — a constant-space `count/sum/max`
 //!   summary fed by the engine's periodic sample events.
 //! * **Allocation counting** — an optional [`alloc::CountingAlloc`]
-//!   global allocator wrapper (see the `bench` crate's `alloc-profile`
-//!   feature) whose totals are read via [`alloc::snapshot`].
+//!   global allocator wrapper (installed by the `perfbench` benchmark)
+//!   whose totals are read via [`alloc::snapshot`].
 //!
 //! # Enablement model
 //!

@@ -392,8 +392,8 @@ impl SpanTree {
     }
 
     /// Merge another tree into this one, matching nodes by call path
-    /// and summing counts and totals. Used to aggregate per-experiment
-    /// trees into one bench-wide breakdown.
+    /// and summing counts and totals. [`Profiler::absorb_report`] uses
+    /// it to fold a worker thread's tree into the caller's.
     pub fn absorb(&mut self, other: &SpanTree) {
         if self.nodes.is_empty() {
             self.nodes.push(SpanNode {

@@ -35,3 +35,53 @@ pub use trace::{
     BufferSink, FanoutSink, JsonlSink, RingSink, SharedSink, Trace, TraceEvent, TraceRecord,
     TraceSink,
 };
+
+#[cfg(test)]
+mod tests {
+    use proto_core::time::Instant;
+
+    /// Nanoseconds per span open/close on a **disabled**
+    /// [`profile::Prof`] handle — the cost every instrumented hot path
+    /// pays when not profiling.
+    fn span_disabled(iters: u64) -> f64 {
+        let prof = profile::Prof::disabled();
+        let start = std::time::Instant::now();
+        for i in 0..iters {
+            let _g = prof.span("bench.span");
+            std::hint::black_box(i);
+        }
+        start.elapsed().as_secs_f64() * 1e9 / iters as f64
+    }
+
+    /// Nanoseconds per trace emit with **no** sink installed — the
+    /// disabled fast path every simulation pays per protocol event.
+    fn trace_emit_disabled(iters: u64) -> f64 {
+        crate::uninstall_global();
+        let handle = crate::global_handle("bench");
+        let start = std::time::Instant::now();
+        for i in 0..iters {
+            handle.emit(Instant::from_nanos(i), || crate::TraceEvent::Nak {
+                seq: i,
+                cp_index: 0,
+            });
+        }
+        start.elapsed().as_secs_f64() * 1e9 / iters as f64
+    }
+
+    #[test]
+    fn disabled_span_stays_near_trace_disabled_cost() {
+        // The profiler's disabled fast path: a disabled span open/close
+        // must stay within ~2x of the trace-emit disabled branch (both
+        // are one Option check). A small absolute floor keeps timer
+        // noise at tiny per-op costs from flaking the ratio.
+        let iters = 2_000_000;
+        // Take the best of 3 to shed scheduler noise in CI.
+        let best = |f: fn(u64) -> f64| (0..3).map(|_| f(iters)).fold(f64::INFINITY, f64::min);
+        let span = best(span_disabled);
+        let trace = best(trace_emit_disabled);
+        assert!(
+            span <= 2.0 * trace + 2.0,
+            "disabled span {span:.3} ns/op vs disabled trace {trace:.3} ns/op"
+        );
+    }
+}

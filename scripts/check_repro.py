@@ -4,7 +4,6 @@
 Usage:
     check_repro.py report.json [report_parallel.json]
                    [--identical FILE_A FILE_B]...
-                   [--bench BENCH.json]...
                    [--attribution OFFLINE.tsv]...
                    [--profile PROFILE.json]...
                    [--live STATS.jsonl]...
@@ -35,11 +34,6 @@ spans must cover at least 90% of the experiment's measured wall clock.
 
 Each `--identical A B` pair must be byte-identical files; used for the
 `--trace`/`--metrics` JSONL outputs of serial vs parallel runs.
-
-Each `--bench FILE` must be a valid `lams-dlc.bench/1` document (as
-written by `bench_suite` or `scripts/bench.py`): micro-kernel rows with
-positive timings, one entry per experiment id with a well-formed queue
-profile, and a quick-all total that actually popped events.
 
 Each `--attribution FILE` is a `trace-tools attribution` output
 (`<id>\\t<json>` lines from replaying the run's --trace file offline):
@@ -279,97 +273,9 @@ def validate(doc, path):
     return doc
 
 
-BENCH_EXPECTED_IDS = [f"e{i}" for i in range(1, 19)]
-
-MICRO_KEYS = ("name", "iters", "ops", "wall_secs", "ns_per_op",
-              "ops_per_sec")
-QUEUE_KEYS = ("scheduled", "popped", "cancelled", "peak_depth",
-              "horizon_s")
-
-
-def validate_bench(doc, path):
-    """The `lams-dlc.bench/1` schema from bench_suite / bench.py."""
-    if doc.get("schema") != "lams-dlc.bench/1":
-        fail(f"{path}: schema is {doc.get('schema')!r}, "
-             f"want 'lams-dlc.bench/1'")
-    micro = doc.get("micro")
-    if not isinstance(micro, list) or not micro:
-        fail(f"{path}: 'micro' must be a non-empty array")
-    names = []
-    for m in micro:
-        for key in MICRO_KEYS:
-            if key not in m:
-                fail(f"{path}: micro kernel missing '{key}': "
-                     f"{m.get('name', '?')}")
-        names.append(m["name"])
-        if m["ops"] < m["iters"] or m["wall_secs"] < 0:
-            fail(f"{path}: micro kernel {m['name']} has nonsensical "
-                 f"ops/wall fields")
-    if len(set(names)) != len(names):
-        fail(f"{path}: duplicate micro kernel names: {names}")
-    exps = doc.get("experiments")
-    if not isinstance(exps, list) or not exps:
-        fail(f"{path}: 'experiments' must be a non-empty array")
-    ids = [e.get("id") for e in exps]
-    if ids != BENCH_EXPECTED_IDS:
-        fail(f"{path}: experiment ids {ids} != {BENCH_EXPECTED_IDS}")
-    for e in exps:
-        for key in ("runs", "wall_secs", "events_per_sec", "queue"):
-            if key not in e:
-                fail(f"{path}: {e['id']} missing '{key}'")
-        q = e["queue"]
-        if q is None:
-            continue  # analysis-only experiment, no simulations
-        for key in QUEUE_KEYS:
-            if key not in q:
-                fail(f"{path}: {e['id']} queue profile missing '{key}'")
-        if q["popped"] <= 0 or e["events_per_sec"] <= 0:
-            fail(f"{path}: {e['id']} ran simulations but popped nothing")
-    # The shard-scaling sweep: optional (older baselines predate it;
-    # --skip-shards omits it), but when present each point must be
-    # well-formed and the shard counts strictly increasing.
-    shards = doc.get("shards")
-    if shards is not None and shards != []:
-        if not isinstance(shards, list):
-            fail(f"{path}: 'shards' must be an array")
-        prev = 0
-        for p in shards:
-            for key in ("shards", "wall_secs", "events_per_sec", "popped"):
-                if key not in p:
-                    fail(f"{path}: shard sweep point missing '{key}': {p}")
-            if p["shards"] <= prev:
-                fail(f"{path}: shard counts must be strictly increasing, "
-                     f"got {p['shards']} after {prev}")
-            prev = p["shards"]
-            if p["popped"] <= 0 or p["events_per_sec"] <= 0:
-                fail(f"{path}: shard sweep at {p['shards']} shard(s) "
-                     f"popped no events")
-            # Efficiency/imbalance arrived with the superstep accounting;
-            # older committed baselines legitimately lack them.
-            if "efficiency" in p and not 0 < p["efficiency"] <= 1 + 1e-9:
-                fail(f"{path}: shard sweep at {p['shards']} shard(s) has "
-                     f"efficiency {p['efficiency']} outside (0, 1]")
-            if "imbalance" in p and p["imbalance"] < 1 - 1e-9:
-                fail(f"{path}: shard sweep at {p['shards']} shard(s) has "
-                     f"imbalance {p['imbalance']} below 1")
-    total = doc.get("total")
-    if not isinstance(total, dict):
-        fail(f"{path}: missing 'total' block")
-    for key in ("runs", "wall_secs", "events_per_sec", "popped"):
-        if key not in total:
-            fail(f"{path}: total block missing '{key}'")
-    if total["popped"] <= 0 or total["events_per_sec"] <= 0:
-        fail(f"{path}: quick-all total popped no events")
-    # The suite-wide profiled pass: optional (older baselines predate
-    # it; --skip-profile omits it), but when present it must be a
-    # consistent span tree covering its own wall clock.
-    if doc.get("profile") is not None:
-        validate_profile_block(doc["profile"], "bench profile", path)
-
-
 # Span-tree validation for the self-profiling output. Shared between
 # the standalone `lams-dlc.profile/1` document (--profile) and the
-# profile blocks embedded in repro reports and bench documents.
+# profile blocks embedded in repro reports.
 
 SPAN_KEYS = ("name", "count", "total_ns", "self_ns", "children")
 PROFILE_KEYS = ("wall_ns", "counters", "queue_depth", "alloc", "spans")
@@ -405,7 +311,7 @@ def validate_span(span, where, path):
 
 
 def validate_profile_block(block, exp_id, path, check_coverage=True):
-    """One experiment's (or the bench suite's) profile block."""
+    """One experiment's profile block."""
     for key in PROFILE_KEYS:
         if key not in block:
             fail(f"{path}: {exp_id} profile block missing '{key}'")
@@ -811,9 +717,8 @@ def check_identical(a, b):
 def main():
     args = sys.argv[1:]
     positional, pairs, timeline_pairs = [], [], []
-    benches, replays, profiles, lives, mchecks = [], [], [], [], []
-    timelines = []
-    single = {"--bench": benches, "--profile": profiles,
+    replays, profiles, lives, mchecks, timelines = [], [], [], [], []
+    single = {"--profile": profiles,
               "--attribution": replays, "--live": lives,
               "--mcheck": mchecks, "--timeline": timelines}
     i = 0
@@ -835,7 +740,7 @@ def main():
             positional.append(args[i])
             i += 1
     if len(positional) not in (1, 2) and not (
-            (benches or profiles or lives or mchecks or timelines
+            (profiles or lives or mchecks or timelines
              or timeline_pairs) and not positional):
         print(__doc__, file=sys.stderr)
         sys.exit(2)
@@ -862,10 +767,6 @@ def main():
         check_identical(pa, pb)
     if pairs:
         checks.append(f"{len(pairs)} stream pair(s) identical")
-    for path in benches:
-        validate_bench(load(path), path)
-    if benches:
-        checks.append(f"{len(benches)} bench document(s) valid")
     for path in profiles:
         validate_profile(load(path), path)
     if profiles:

@@ -38,17 +38,18 @@ use sim_core::SeedSplitter;
 use std::collections::BTreeMap;
 use telemetry::Registry;
 
-/// Per-hop channels with the same shifted seed the serial relay uses,
-/// so a hop's error/delay realisation is partition-independent.
-fn hop_channels(base: &ScenarioConfig, i: usize) -> (Channel, Channel) {
+/// Per-hop channels from a per-hop shifted seed (fresh RNG streams per
+/// link), shared with the serial relay so a hop's error/delay
+/// realisation is the same in both families and partition-independent.
+pub(crate) fn hop_channels(base: &ScenarioConfig, i: usize) -> (Channel, Channel) {
     let mut c = base.clone();
     c.seed = base.seed.wrapping_add(1000 * (i as u64 + 1));
     c.build_channels()
 }
 
-/// The chain's source generator (stream 2 of the master seed, exactly
-/// as the serial relay draws it).
-fn chain_gen(base: &ScenarioConfig) -> TrafficGen {
+/// The chain's source generator (stream 2 of the master seed), shared
+/// with the serial relay.
+pub(crate) fn chain_gen(base: &ScenarioConfig) -> TrafficGen {
     TrafficGen::new(
         base.pattern.clone(),
         base.n_packets,
@@ -299,19 +300,21 @@ where
     report
 }
 
-/// Per-hop trace labels (the sharded family targets longer chains than
-/// the serial relay, so the table is deeper). Chains longer than the
-/// table fall back to untraced endpoints.
-const CHAIN_TX: [&str; 16] = [
+/// Per-hop trace labels, shared with the serial relay: hop `i`'s
+/// sender/receiver pair shares the `hop<i>` prefix so trace consumers
+/// can pair the two sides of each link. Chains longer than the table
+/// fall back to untraced endpoints (trace labels are `&'static str` by
+/// design).
+pub(crate) const HOP_TX: [&str; 16] = [
     "hop0.tx", "hop1.tx", "hop2.tx", "hop3.tx", "hop4.tx", "hop5.tx", "hop6.tx", "hop7.tx",
     "hop8.tx", "hop9.tx", "hop10.tx", "hop11.tx", "hop12.tx", "hop13.tx", "hop14.tx", "hop15.tx",
 ];
-const CHAIN_RX: [&str; 16] = [
+pub(crate) const HOP_RX: [&str; 16] = [
     "hop0.rx", "hop1.rx", "hop2.rx", "hop3.rx", "hop4.rx", "hop5.rx", "hop6.rx", "hop7.rx",
     "hop8.rx", "hop9.rx", "hop10.rx", "hop11.rx", "hop12.rx", "hop13.rx", "hop14.rx", "hop15.rx",
 ];
 
-fn hop_trace(labels: &[&'static str; 16], i: usize) -> telemetry::trace::Trace {
+pub(crate) fn hop_trace(labels: &[&'static str; 16], i: usize) -> telemetry::trace::Trace {
     labels
         .get(i)
         .map(|l| telemetry::global_handle(l))
@@ -324,8 +327,8 @@ pub fn run_chain_lams(cfg: &RelayConfig, shards: usize) -> RunReport {
     run_chain(
         cfg,
         shards,
-        |i| Driver::new(lams_dlc::Sender::new(lcfg.clone()).with_trace(hop_trace(&CHAIN_TX, i))),
-        |i| Driver::new(lams_dlc::Receiver::new(lcfg.clone()).with_trace(hop_trace(&CHAIN_RX, i))),
+        |i| Driver::new(lams_dlc::Sender::new(lcfg.clone()).with_trace(hop_trace(&HOP_TX, i))),
+        |i| Driver::new(lams_dlc::Receiver::new(lcfg.clone()).with_trace(hop_trace(&HOP_RX, i))),
         "lams-chain",
     )
 }

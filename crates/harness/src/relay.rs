@@ -16,13 +16,12 @@
 //!   resequencing delay is paid *per hop*, and a loss near the source
 //!   stalls the pipeline of every downstream link.
 
+use crate::chain::{chain_gen, hop_channels, hop_trace, HOP_RX, HOP_TX};
 use crate::metrics::RunReport;
 use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::scenario::ScenarioConfig;
-use crate::traffic::TrafficGen;
 use netsim::Machine;
 use netsim::{NodeRole, SimBuilder};
-use sim_core::SeedSplitter;
 
 /// Relay chain configuration: `hops` identical links, each drawn from the
 /// base scenario (distance, rate, error model, protocol knobs).
@@ -49,15 +48,10 @@ where
     assert!(cfg.hops >= 1, "need at least one link");
     let h = cfg.hops;
     let base = &cfg.base;
-    let gen = TrafficGen::new(
-        base.pattern.clone(),
-        base.n_packets,
-        SeedSplitter::new(base.seed).stream(2),
-    );
 
     // hops + 1 nodes: source, h − 1 relays, sink. Per hop, a forward
     // link (data) and a reverse link (control), with independent
-    // channels per hop (fresh RNG streams per link via shifted seeds).
+    // channels per hop.
     // Each hop's receiver drains right after its reverse link pumps, so
     // forwarded frames reach the next hop's sender before that link's
     // pump pass — store-and-forward within the same instant.
@@ -73,9 +67,7 @@ where
     let mut txs = Vec::with_capacity(h);
     let mut rxs = Vec::with_capacity(h);
     for i in 0..h {
-        let mut c = base.clone();
-        c.seed = base.seed.wrapping_add(1000 * (i as u64 + 1));
-        let (f, r) = c.build_channels();
+        let (f, r) = hop_channels(base, i);
         let lf = b.link(nodes[i], nodes[i + 1], f, "fwd");
         let lr = b.link(nodes[i + 1], nodes[i], r, "rev");
         let t = b.tx(nodes[i], lf, mk_tx(i));
@@ -87,7 +79,7 @@ where
         rxs.push(rx);
     }
     let c = b.collector(crate::metrics::Collector::new());
-    b.source(gen, txs[0], c);
+    b.source(chain_gen(base), txs[0], c);
     for i in 0..h {
         if i + 1 < h {
             b.forward(rxs[i], txs[i + 1]);
@@ -121,24 +113,6 @@ where
     report.wall_secs = out.wall_secs;
     crate::metrics::perf_absorb(&report.queue, report.wall_secs);
     report
-}
-
-/// Per-hop trace labels: hop `i`'s sender/receiver pair shares the
-/// `hop<i>` prefix so trace consumers can pair the two sides of each
-/// link. Chains longer than the table fall back to untraced endpoints
-/// (trace labels are `&'static str` by design).
-const HOP_TX: [&str; 8] = [
-    "hop0.tx", "hop1.tx", "hop2.tx", "hop3.tx", "hop4.tx", "hop5.tx", "hop6.tx", "hop7.tx",
-];
-const HOP_RX: [&str; 8] = [
-    "hop0.rx", "hop1.rx", "hop2.rx", "hop3.rx", "hop4.rx", "hop5.rx", "hop6.rx", "hop7.rx",
-];
-
-fn hop_trace(labels: &[&'static str; 8], i: usize) -> telemetry::trace::Trace {
-    labels
-        .get(i)
-        .map(|l| telemetry::global_handle(l))
-        .unwrap_or_else(telemetry::trace::Trace::disabled)
 }
 
 /// Relay chain under LAMS-DLC at every hop.

@@ -1,5 +1,4 @@
-//! The one generic event loop, and the builder that wires a topology
-//! into it.
+//! The serial event loop, and the builder that wires a topology into it.
 //!
 //! Every simulation is four event kinds on one deterministic queue:
 //!
@@ -14,19 +13,22 @@
 //! their configured point in the link order (store-and-forward relays
 //! must forward into the *next* link's sender before that link is
 //! pumped), holding samples flow to collectors, and the completion /
-//! failure / wake checks run. The pump order and event insertion order
-//! are exactly those of the original hand-rolled point-to-point,
-//! duplex and relay loops, so a given seed reproduces their numbers
-//! bit-for-bit.
+//! failure / wake checks run. The pump steps themselves live in the
+//! crate-private `pump` module, shared with the sharded loop; this loop
+//! owns the insertion-order tie-break, sampling, holdings and
+//! completion. The
+//! pump order and event insertion order are exactly those of the
+//! original hand-rolled point-to-point, duplex and relay loops, so a
+//! given seed reproduces their numbers bit-for-bit.
 
 use crate::collect::Collect;
 use crate::endpoint::{RxEndpoint, TxEndpoint};
-use crate::link::{Channel, Fate};
+use crate::link::Channel;
+use crate::pump::{wake_at, Delivery, Pump, WakeSlot, Wiring};
 use crate::topology::{
     ColId, EndpointId, LinkId, LinkSpec, NodeId, NodeRole, RxId, Topology, TopologyError, TxId,
 };
 use crate::traffic::TrafficGen;
-use bytes::Bytes;
 use proto_core::{Clock, ManualClock};
 use sim_core::{Duration, EventQueue, Instant, QueueProfile, RunTimer};
 use telemetry::TraceEvent;
@@ -55,14 +57,6 @@ pub enum SimEvent<F> {
     Wake,
 }
 
-/// Where a receiver's completed deliveries go.
-enum Delivery {
-    /// Terminal: credit the collector (the flow's destination).
-    Collect(ColId),
-    /// Store-and-forward: push into a co-located sender.
-    Forward(TxId),
-}
-
 /// A traffic source: a generator feeding one sender, accounted by one
 /// collector.
 struct SourceSpec {
@@ -87,17 +81,9 @@ struct SamplerSpec {
 pub struct SimBuilder<T, R, C> {
     topo: Topology,
     channels: Vec<Channel>,
-    link_senders: Vec<Vec<EndpointId>>,
-    link_listeners: Vec<Vec<EndpointId>>,
-    txs: Vec<T>,
+    wiring: Wiring<T, R, C>,
     tx_node: Vec<NodeId>,
-    tx_link: Vec<LinkId>,
-    rxs: Vec<R>,
     rx_node: Vec<NodeId>,
-    rx_link: Vec<LinkId>,
-    rx_delivery: Vec<Option<Delivery>>,
-    rx_drain_after: Vec<Option<LinkId>>,
-    collectors: Vec<C>,
     sources: Vec<SourceSpec>,
     samplers: Vec<SamplerSpec>,
     holdings: Vec<(ColId, TxId)>,
@@ -117,17 +103,9 @@ where
         SimBuilder {
             topo: Topology::default(),
             channels: Vec::new(),
-            link_senders: Vec::new(),
-            link_listeners: Vec::new(),
-            txs: Vec::new(),
+            wiring: Wiring::new(),
             tx_node: Vec::new(),
-            tx_link: Vec::new(),
-            rxs: Vec::new(),
             rx_node: Vec::new(),
-            rx_link: Vec::new(),
-            rx_delivery: Vec::new(),
-            rx_drain_after: Vec::new(),
-            collectors: Vec::new(),
             sources: Vec::new(),
             samplers: Vec::new(),
             holdings: Vec::new(),
@@ -154,22 +132,15 @@ where
     ) -> LinkId {
         self.topo.links.push(LinkSpec { from, to, dir });
         self.channels.push(channel);
-        self.link_senders.push(Vec::new());
-        self.link_listeners.push(Vec::new());
+        self.wiring.add_link();
         LinkId(self.topo.links.len() - 1)
     }
 
     /// Host a sending endpoint at `node`, transmitting on `link`.
     /// Registration order on a link is its transmitter priority.
     pub fn tx(&mut self, node: NodeId, link: LinkId, endpoint: T) -> TxId {
-        let id = TxId(self.txs.len());
-        self.txs.push(endpoint);
         self.tx_node.push(node);
-        self.tx_link.push(link);
-        if let Some(senders) = self.link_senders.get_mut(link.0) {
-            senders.push(EndpointId::Tx(id));
-        }
-        id
+        self.wiring.tx(link, endpoint)
     }
 
     /// Host a receiving endpoint at `node`, transmitting its control
@@ -177,28 +148,19 @@ where
     /// transmitter priority (register the receiver first for
     /// control-frame priority, as full-duplex nodes do).
     pub fn rx(&mut self, node: NodeId, link: LinkId, endpoint: R) -> RxId {
-        let id = RxId(self.rxs.len());
-        self.rxs.push(endpoint);
         self.rx_node.push(node);
-        self.rx_link.push(link);
-        if let Some(senders) = self.link_senders.get_mut(link.0) {
-            senders.push(EndpointId::Rx(id));
-        }
-        id
+        self.wiring.rx(Some(link), endpoint)
     }
 
     /// Deliver `link`'s arrivals to `endpoint`. Listeners are offered
     /// frames in registration order; all but the last receive a clone.
     pub fn listen(&mut self, link: LinkId, endpoint: impl Into<EndpointId>) {
-        if let Some(listeners) = self.link_listeners.get_mut(link.0) {
-            listeners.push(endpoint.into());
-        }
+        self.wiring.listen(link, endpoint.into());
     }
 
     /// Register a collector.
     pub fn collector(&mut self, collector: C) -> ColId {
-        self.collectors.push(collector);
-        ColId(self.collectors.len() - 1)
+        self.wiring.collector(collector)
     }
 
     /// Feed `gen`'s SDUs into `tx`, accounted by `col`. Sources push
@@ -209,20 +171,12 @@ where
 
     /// Terminal receiver: `rx`'s deliveries credit `col`.
     pub fn deliver(&mut self, rx: RxId, col: ColId) {
-        if let Some(slot) = self.rx_delivery.get_mut(rx.0) {
-            *slot = Some(Delivery::Collect(col));
-        } else {
-            self.rx_delivery.resize_with(rx.0 + 1, || None);
-            self.rx_delivery[rx.0] = Some(Delivery::Collect(col));
-        }
+        self.wiring.deliver(rx, col);
     }
 
     /// Store-and-forward receiver: `rx`'s deliveries push into `tx`.
     pub fn forward(&mut self, rx: RxId, tx: TxId) {
-        if self.rx_delivery.len() <= rx.0 {
-            self.rx_delivery.resize_with(rx.0 + 1, || None);
-        }
-        self.rx_delivery[rx.0] = Some(Delivery::Forward(tx));
+        self.wiring.forward(rx, tx);
     }
 
     /// Drain `rx`'s deliveries right after `link` is pumped (default:
@@ -230,10 +184,7 @@ where
     /// before hop `i + 1`'s link pumps, so forwarded frames catch the
     /// same pump pass.
     pub fn drain_after(&mut self, rx: RxId, link: LinkId) {
-        if self.rx_drain_after.len() <= rx.0 {
-            self.rx_drain_after.resize_with(rx.0 + 1, || None);
-        }
-        self.rx_drain_after[rx.0] = Some(link);
+        self.wiring.drain_after(rx, link);
     }
 
     /// Sample `tx`'s buffer and the worst occupancy among `rxs` into
@@ -249,11 +200,10 @@ where
 
     /// Validate the wiring against the topology and produce a runnable
     /// [`Sim`].
-    pub fn build(mut self) -> Result<Sim<T, R, C>, TopologyError> {
+    pub fn build(self) -> Result<Sim<T, R, C>, TopologyError> {
         let mut errors = Vec::new();
         let nodes = self.topo.nodes();
-        let links = self.topo.link_count();
-        if links == 0 {
+        if self.topo.link_count() == 0 {
             errors.push("no links".to_string());
         }
         for (i, l) in self.topo.links.iter().enumerate() {
@@ -263,21 +213,22 @@ where
                 errors.push(format!("link {i} is a self-loop"));
             }
         }
-        for (i, link) in self.tx_link.iter().enumerate() {
-            match self.topo.links.get(link.0) {
-                Some(spec) if spec.from == self.tx_node[i] => {}
-                Some(_) => errors.push(format!("tx {i} transmits on a link it does not originate")),
-                None => errors.push(format!("tx {i} transmits on an unknown link")),
+        let w = &self.wiring;
+        let foreign = |link: Option<LinkId>, node: NodeId| {
+            link.and_then(|l| self.topo.links.get(l.0))
+                .is_some_and(|spec| spec.from != node)
+        };
+        for (i, (l, n)) in w.tx_link.iter().zip(&self.tx_node).enumerate() {
+            if foreign(Some(*l), *n) {
+                errors.push(format!("tx {i} transmits on a link it does not originate"));
             }
         }
-        for (i, link) in self.rx_link.iter().enumerate() {
-            match self.topo.links.get(link.0) {
-                Some(spec) if spec.from == self.rx_node[i] => {}
-                Some(_) => errors.push(format!("rx {i} transmits on a link it does not originate")),
-                None => errors.push(format!("rx {i} transmits on an unknown link")),
+        for (i, (l, n)) in w.rx_link.iter().zip(&self.rx_node).enumerate() {
+            if foreign(*l, *n) {
+                errors.push(format!("rx {i} transmits on a link it does not originate"));
             }
         }
-        for (li, listeners) in self.link_listeners.iter().enumerate() {
+        for (li, listeners) in w.listeners.iter().enumerate() {
             let to = self.topo.links[li].to;
             for ep in listeners {
                 let host = match *ep {
@@ -291,75 +242,55 @@ where
                 }
             }
         }
-        self.rx_delivery.resize_with(self.rxs.len(), || None);
-        self.rx_drain_after.resize_with(self.rxs.len(), || None);
-        let mut deliveries = Vec::with_capacity(self.rxs.len());
-        for (i, d) in self.rx_delivery.drain(..).enumerate() {
-            match d {
-                Some(Delivery::Forward(t)) => {
-                    if t.0 >= self.txs.len() {
-                        errors.push(format!("rx {i} forwards into an unknown tx"));
-                    } else if self.tx_node[t.0] != self.rx_node[i] {
-                        errors.push(format!("rx {i} forwards into a tx at a different node"));
-                    }
-                    deliveries.push(Delivery::Forward(t));
-                }
-                Some(Delivery::Collect(c)) => {
-                    if c.0 >= self.collectors.len() {
-                        errors.push(format!("rx {i} delivers to an unknown collector"));
-                    }
-                    deliveries.push(Delivery::Collect(c));
-                }
-                None => {
-                    errors.push(format!("rx {i} has no delivery target"));
-                    deliveries.push(Delivery::Collect(ColId(0)));
+        let pump = self.wiring.finish(self.payload_bytes, &mut errors);
+        let (txs, rxs, cols) = (pump.txs.len(), pump.rxs.len(), pump.collectors.len());
+        for (i, d) in pump.deliveries.iter().enumerate() {
+            if let Delivery::Forward(t) = d {
+                if self.tx_node.get(t.0).is_some_and(|n| *n != self.rx_node[i]) {
+                    errors.push(format!("rx {i} forwards into a tx at a different node"));
                 }
             }
         }
         for (i, s) in self.sources.iter().enumerate() {
-            if s.tx.0 >= self.txs.len() {
+            if s.tx.0 >= txs {
                 errors.push(format!("source {i} feeds an unknown tx"));
             }
-            if s.col.0 >= self.collectors.len() {
+            if s.col.0 >= cols {
                 errors.push(format!("source {i} uses an unknown collector"));
             }
         }
         for (i, s) in self.samplers.iter().enumerate() {
-            if s.col.0 >= self.collectors.len() || s.tx.0 >= self.txs.len() {
+            if s.col.0 >= cols || s.tx.0 >= txs {
                 errors.push(format!("sampler {i} references unknown ids"));
             }
-            if s.rxs.iter().any(|r| r.0 >= self.rxs.len()) {
+            if s.rxs.iter().any(|r| r.0 >= rxs) {
                 errors.push(format!("sampler {i} references an unknown rx"));
             }
         }
         for (i, (c, t)) in self.holdings.iter().enumerate() {
-            if c.0 >= self.collectors.len() || t.0 >= self.txs.len() {
+            if c.0 >= cols || t.0 >= txs {
                 errors.push(format!("holding {i} references unknown ids"));
             }
         }
         // Role consistency: the wiring must exhibit each node's role.
         for (n, role) in self.topo.roles.iter().enumerate() {
             let node = NodeId(n);
-            let sourced_tx = |node| {
+            let sourced_tx = || {
                 self.sources
                     .iter()
                     .any(|s| self.tx_node.get(s.tx.0) == Some(&node))
             };
-            let delivering_rx = |node| {
-                self.rx_node.iter().enumerate().any(|(i, h)| {
-                    *h == node && matches!(deliveries.get(i), Some(Delivery::Collect(_)))
-                })
-            };
-            let forwarding_rx = |node| {
-                self.rx_node.iter().enumerate().any(|(i, h)| {
-                    *h == node && matches!(deliveries.get(i), Some(Delivery::Forward(_)))
-                })
+            let rx_delivering = |forward: bool| {
+                self.rx_node
+                    .iter()
+                    .zip(&pump.deliveries)
+                    .any(|(h, d)| *h == node && matches!(d, Delivery::Forward(_)) == forward)
             };
             let ok = match role {
-                NodeRole::Source => sourced_tx(node),
-                NodeRole::Sink => delivering_rx(node),
-                NodeRole::Relay => forwarding_rx(node),
-                NodeRole::Duplex => sourced_tx(node) && delivering_rx(node),
+                NodeRole::Source => sourced_tx(),
+                NodeRole::Sink => rx_delivering(false),
+                NodeRole::Relay => rx_delivering(true),
+                NodeRole::Duplex => sourced_tx() && rx_delivering(false),
             };
             if !ok {
                 errors.push(format!("node {n} does not exhibit its {role:?} role"));
@@ -368,28 +299,13 @@ where
         if !errors.is_empty() {
             return Err(TopologyError(errors));
         }
-        // Per-link drain lists: receivers with no explicit point drain
-        // after the last link (the classic end-of-pump position).
-        let mut drains: Vec<Vec<RxId>> = vec![Vec::new(); links];
-        let last = LinkId(links - 1);
-        for (i, after) in self.rx_drain_after.iter().enumerate() {
-            let li = after.unwrap_or(last);
-            drains[li.0.min(links - 1)].push(RxId(i));
-        }
         Ok(Sim {
             topo: self.topo,
             channels: self.channels,
-            link_senders: self.link_senders,
-            link_listeners: self.link_listeners,
-            txs: self.txs,
-            rxs: self.rxs,
-            deliveries,
-            drains,
-            collectors: self.collectors,
+            pump,
             sources: self.sources,
             samplers: self.samplers,
             holdings: self.holdings,
-            payload_bytes: self.payload_bytes,
             deadline: self.deadline,
             sample_every: self.sample_every,
         })
@@ -407,8 +323,6 @@ pub struct Outcome<T, R, C> {
     pub collectors: Vec<C>,
     /// SDUs issued per source, in registration order.
     pub issued: Vec<u64>,
-    /// SDUs each source would issue in total, in registration order.
-    pub targets: Vec<u64>,
     /// Instant the run completed (or the deadline).
     pub finished_at: Instant,
     /// True if the deadline fired before completion.
@@ -424,17 +338,10 @@ pub struct Outcome<T, R, C> {
 pub struct Sim<T, R, C> {
     topo: Topology,
     channels: Vec<Channel>,
-    link_senders: Vec<Vec<EndpointId>>,
-    link_listeners: Vec<Vec<EndpointId>>,
-    txs: Vec<T>,
-    rxs: Vec<R>,
-    deliveries: Vec<Delivery>,
-    drains: Vec<Vec<RxId>>,
-    collectors: Vec<C>,
+    pump: Pump<T, R, C>,
     sources: Vec<SourceSpec>,
     samplers: Vec<SamplerSpec>,
     holdings: Vec<(ColId, TxId)>,
-    payload_bytes: usize,
     deadline: Duration,
     sample_every: Duration,
 }
@@ -445,11 +352,6 @@ where
     R: RxEndpoint<Frame = T::Frame>,
     C: Collect,
 {
-    /// The validated topology this simulation runs over.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// Run to completion on a fresh event queue.
     pub fn run(self) -> Outcome<T, R, C> {
         let mut q = EventQueue::new();
@@ -477,40 +379,24 @@ where
         let Sim {
             topo,
             mut channels,
-            link_senders,
-            link_listeners,
-            mut txs,
-            mut rxs,
-            deliveries,
-            drains,
-            mut collectors,
+            mut pump,
             mut sources,
             samplers,
             holdings,
-            payload_bytes,
             deadline,
             sample_every,
-            ..
         } = self;
         let deadline = Instant::ZERO + deadline;
-        let payload = Bytes::from(vec![0u8; payload_bytes]);
 
-        for t in txs.iter_mut() {
-            t.start(Instant::ZERO);
-        }
-        for r in rxs.iter_mut() {
-            r.start(Instant::ZERO);
-        }
+        pump.start();
         for (s, src) in sources.iter_mut().enumerate() {
             if let Some((at, id)) = src.gen.next() {
                 q.schedule(at, SimEvent::Push { source: s, id });
             }
         }
         q.schedule(Instant::ZERO, SimEvent::Sample);
-        // Exactly one Wake is ever pending: re-arming an earlier wake
-        // *reschedules* it (O(1) on the slab queue) instead of piling up
-        // stale duplicates that would each buy a no-op pump pass.
-        let mut wake = Some((Instant::ZERO, q.schedule(Instant::ZERO, SimEvent::Wake)));
+        let mut wake = WakeSlot::default();
+        wake.arm_at_zero(q, SimEvent::Wake);
         let mut holding_buf: Vec<f64> = Vec::new();
         // Simulated time as a Clock: kept in lock-step with the event
         // queue, so the engine's notion of "now" (and the instant the
@@ -536,38 +422,14 @@ where
                 match ev {
                     SimEvent::Push { source, id } => {
                         let src = &mut sources[source];
-                        collectors[src.col.0].on_push(now, id);
-                        txs[src.tx.0].push(id, payload.clone());
+                        pump.collectors[src.col.0].on_push(now, id);
+                        pump.txs[src.tx.0].push(id, pump.payload.clone());
                         if let Some((at, nid)) = src.gen.next() {
                             q.schedule(at.max(now), SimEvent::Push { source, id: nid });
                         }
                     }
                     SimEvent::Arrive { link, frame, clean } => {
-                        // Single listener — the common wiring — moves the
-                        // frame straight through; only genuine fan-out
-                        // (duplex links feeding both co-located endpoints)
-                        // pays a clone, and only for the non-final copies.
-                        match link_listeners[link].as_slice() {
-                            [ep] => match *ep {
-                                EndpointId::Tx(t) => txs[t.0].handle_frame(now, frame, clean),
-                                EndpointId::Rx(r) => rxs[r.0].handle_frame(now, frame, clean),
-                            },
-                            listeners => {
-                                let last = listeners.len().saturating_sub(1);
-                                let mut frame = Some(frame);
-                                for (k, ep) in listeners.iter().enumerate() {
-                                    let f = if k == last {
-                                        frame.take().expect("frame consumed once")
-                                    } else {
-                                        frame.as_ref().expect("frame present").clone()
-                                    };
-                                    match *ep {
-                                        EndpointId::Tx(t) => txs[t.0].handle_frame(now, f, clean),
-                                        EndpointId::Rx(r) => rxs[r.0].handle_frame(now, f, clean),
-                                    }
-                                }
-                            }
-                        }
+                        pump.arrive(now, link, frame, clean);
                     }
                     SimEvent::Sample => {
                         prof.sample_queue_depth(q.len() as u64);
@@ -575,25 +437,22 @@ where
                             let worst_rx = s
                                 .rxs
                                 .iter()
-                                .map(|r| rxs[r.0].occupancy())
+                                .map(|r| pump.rxs[r.0].occupancy())
                                 .max()
                                 .unwrap_or(0);
-                            collectors[s.col.0].sample(
+                            let tx = &pump.txs[s.tx.0];
+                            pump.collectors[s.col.0].sample(
                                 now,
-                                txs[s.tx.0].buffered(),
+                                tx.buffered(),
                                 worst_rx,
-                                txs[s.tx.0].rate(),
+                                tx.rate(),
                             );
                         }
                         if now + sample_every <= deadline {
                             q.schedule(now + sample_every, SimEvent::Sample);
                         }
                     }
-                    SimEvent::Wake => {
-                        if wake.is_some_and(|(t, _)| t <= now) {
-                            wake = None;
-                        }
-                    }
+                    SimEvent::Wake => wake.fired(now),
                 }
                 match q.pop_at(now) {
                     Some(next) => ev = next,
@@ -604,74 +463,39 @@ where
 
             // Pump: timers, transmissions, deliveries.
             let timer_span = prof.span("sim.pump_timers");
-            for t in txs.iter_mut() {
-                t.on_timeout(now);
-            }
-            for r in rxs.iter_mut() {
-                r.on_timeout(now);
-            }
+            pump.fire_timers(now);
             drop(timer_span);
             let links_span = prof.span("sim.pump_links");
-            for li in 0..channels.len() {
-                // Serve the link's senders in priority order while the
-                // transmitter is idle (re-checking priority after each
-                // frame: a control frame freed mid-pump still wins).
+            for (li, channel) in channels.iter_mut().enumerate() {
                 let tx_span = prof.span("sim.tx_serve");
-                while channels[li].idle(now) {
-                    let mut next = None;
-                    for ep in &link_senders[li] {
-                        next = match *ep {
-                            EndpointId::Tx(t) => {
-                                txs[t.0].poll_transmit(now).map(|f| (T::meta(&f), f))
-                            }
-                            EndpointId::Rx(r) => {
-                                rxs[r.0].poll_transmit(now).map(|f| (R::meta(&f), f))
-                            }
-                        };
-                        if next.is_some() {
-                            break;
-                        }
-                    }
-                    let Some((meta, frame)) = next else {
-                        break;
-                    };
-                    match channels[li].transmit(now, meta.bytes, meta.is_info) {
-                        Fate::Arrives { at, clean } => {
-                            q.schedule(
-                                at,
-                                SimEvent::Arrive {
-                                    link: li,
-                                    frame,
-                                    clean,
-                                },
-                            );
-                        }
-                        Fate::Lost => {
-                            let dir = topo.links[li].dir;
-                            trace.emit(now, || TraceEvent::ChannelDrop { dir });
-                        }
-                    }
-                }
+                pump.serve(
+                    now,
+                    li,
+                    channel,
+                    topo.links[li].dir,
+                    &trace,
+                    |at, frame, clean| {
+                        q.schedule(
+                            at,
+                            SimEvent::Arrive {
+                                link: li,
+                                frame,
+                                clean,
+                            },
+                        );
+                    },
+                );
                 drop(tx_span);
                 let rx_span = prof.span("sim.rx_drain");
-                for r in &drains[li] {
-                    while let Some((id, _len)) = rxs[r.0].poll_deliver(now) {
-                        match deliveries[r.0] {
-                            Delivery::Collect(c) => collectors[c.0].on_deliver(now, id),
-                            Delivery::Forward(t) => {
-                                txs[t.0].push(id, payload.clone());
-                            }
-                        }
-                    }
-                }
+                pump.drain(now, li);
                 drop(rx_span);
             }
             drop(links_span);
             let collect_span = prof.span("sim.collect");
             for (col, t) in &holdings {
                 holding_buf.clear();
-                txs[t.0].drain_holding(&mut holding_buf);
-                collectors[col.0].on_holding(&holding_buf);
+                pump.txs[t.0].drain_holding(&mut holding_buf);
+                pump.collectors[col.0].on_holding(&holding_buf);
             }
 
             // "Safe delivery" (§4): the run completes when every flow
@@ -679,63 +503,16 @@ where
             // frame positively acknowledged).
             let done = sources
                 .iter()
-                .all(|s| collectors[s.col.0].delivered_unique() >= s.gen.total())
-                && txs.iter().all(|t| t.buffered() == 0);
+                .all(|s| pump.collectors[s.col.0].delivered_unique() >= s.gen.total())
+                && pump.txs.iter().all(|t| t.buffered() == 0);
             drop(collect_span);
-            if done || txs.iter().any(|t| t.is_failed()) {
+            if done || pump.txs.iter().any(|t| t.is_failed()) {
                 break;
             }
 
-            // Re-arm the wake-up at the earliest pending protocol
-            // instant.
             let _wake_span = prof.span("sim.wake");
-            let mut want: Option<Instant> = None;
-            let mut consider = |c: Option<Instant>| {
-                if let Some(t) = c {
-                    want = Some(want.map_or(t, |w| w.min(t)));
-                }
-            };
-            for t in &txs {
-                consider(t.poll_timeout());
-            }
-            for r in &rxs {
-                consider(r.poll_timeout());
-            }
-            for c in &channels {
-                if !c.idle(now) {
-                    consider(Some(c.free_at()));
-                }
-            }
-            if let Some(t) = want {
-                // A want at or before `now` means the protocol is
-                // blocked on a busy transmitter (the pump already did
-                // everything else possible at `now`): waking again at
-                // `now` would spin without advancing time, so defer to
-                // the earliest channel-free instant — strictly in the
-                // future when busy.
-                let t = if t > now {
-                    Some(t)
-                } else {
-                    channels
-                        .iter()
-                        .filter(|c| !c.idle(now))
-                        .map(|c| c.free_at())
-                        .min()
-                };
-                if let Some(t) = t {
-                    debug_assert!(t > now, "wake must advance time");
-                    match wake {
-                        Some((at, id)) if t < at => {
-                            let id = q.reschedule(id, t).expect("tracked wake is pending");
-                            wake = Some((t, id));
-                        }
-                        None => {
-                            wake = Some((t, q.schedule(t, SimEvent::Wake)));
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
+            let at = wake_at(now, pump.next_timer(), channels.iter());
+            wake.rearm(q, now, at, SimEvent::Wake);
         }
 
         let finished_at = sim_clock.now();
@@ -743,10 +520,9 @@ where
 
         Outcome {
             issued: sources.iter().map(|s| s.gen.issued()).collect(),
-            targets: sources.iter().map(|s| s.gen.total()).collect(),
-            txs,
-            rxs,
-            collectors,
+            txs: pump.txs,
+            rxs: pump.rxs,
+            collectors: pump.collectors,
             finished_at,
             deadline_hit,
             queue: q.profile(),
@@ -758,122 +534,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::FrameMeta;
-    use crate::link::{DelayModel, ErrorModel};
+    use crate::pump::testkit::{clean_channel, CountCollector, EchoRx, EchoTx};
     use crate::traffic::Pattern;
     use sim_core::SeedSplitter;
-    use std::collections::VecDeque;
-
-    /// A toy stop-and-wait-free protocol: the sender emits each SDU
-    /// once as a `u64` frame; the receiver delivers it and never talks
-    /// back. Enough to exercise push/arrive/deliver/done plumbing.
-    struct EchoTx {
-        queue: VecDeque<u64>,
-        sent: u64,
-    }
-
-    impl TxEndpoint for EchoTx {
-        type Frame = u64;
-
-        fn start(&mut self, _now: Instant) {}
-        fn push(&mut self, id: u64, _payload: Bytes) -> bool {
-            self.queue.push_back(id);
-            true
-        }
-        fn poll_transmit(&mut self, _now: Instant) -> Option<u64> {
-            let f = self.queue.pop_front();
-            if f.is_some() {
-                self.sent += 1;
-            }
-            f
-        }
-        fn handle_frame(&mut self, _now: Instant, _frame: u64, _ok: bool) {}
-        fn on_timeout(&mut self, _now: Instant) {}
-        fn poll_timeout(&self) -> Option<Instant> {
-            None
-        }
-        fn buffered(&self) -> usize {
-            self.queue.len()
-        }
-        fn meta(_frame: &u64) -> FrameMeta {
-            FrameMeta {
-                bytes: 64,
-                is_info: true,
-            }
-        }
-        fn drain_holding(&mut self, _out: &mut Vec<f64>) {}
-        fn transmissions(&self) -> u64 {
-            self.sent
-        }
-        fn retransmissions(&self) -> u64 {
-            0
-        }
-    }
-
-    struct EchoRx {
-        pending: VecDeque<u64>,
-    }
-
-    impl RxEndpoint for EchoRx {
-        type Frame = u64;
-
-        fn start(&mut self, _now: Instant) {}
-        fn handle_frame(&mut self, _now: Instant, frame: u64, ok: bool) {
-            if ok {
-                self.pending.push_back(frame);
-            }
-        }
-        fn on_timeout(&mut self, _now: Instant) {}
-        fn poll_timeout(&self) -> Option<Instant> {
-            None
-        }
-        fn poll_transmit(&mut self, _now: Instant) -> Option<u64> {
-            None
-        }
-        fn poll_deliver(&mut self, _now: Instant) -> Option<(u64, usize)> {
-            self.pending.pop_front().map(|id| (id, 64))
-        }
-        fn occupancy(&self) -> usize {
-            self.pending.len()
-        }
-        fn meta(_frame: &u64) -> FrameMeta {
-            FrameMeta {
-                bytes: 64,
-                is_info: true,
-            }
-        }
-    }
-
-    #[derive(Default)]
-    struct CountCollector {
-        pushed: u64,
-        delivered: u64,
-        samples: u64,
-    }
-
-    impl Collect for CountCollector {
-        fn on_push(&mut self, _now: Instant, _id: u64) {
-            self.pushed += 1;
-        }
-        fn on_deliver(&mut self, _now: Instant, _id: u64) {
-            self.delivered += 1;
-        }
-        fn on_holding(&mut self, _samples: &[f64]) {}
-        fn sample(&mut self, _now: Instant, _tx: usize, _rx: usize, _rate: f64) {
-            self.samples += 1;
-        }
-        fn delivered_unique(&self) -> u64 {
-            self.delivered
-        }
-    }
-
-    fn clean_channel() -> Channel {
-        Channel::new(
-            1e6,
-            DelayModel::Fixed(Duration::from_millis(1)),
-            ErrorModel::Clean,
-        )
-    }
 
     fn p2p(n: u64) -> SimBuilder<EchoTx, EchoRx, CountCollector> {
         let mut b = SimBuilder::new(64, Duration::from_secs(60), Duration::from_millis(5));
@@ -881,21 +544,8 @@ mod tests {
         let z = b.node(NodeRole::Sink);
         let lf = b.link(a, z, clean_channel(), "fwd");
         let lr = b.link(z, a, clean_channel(), "rev");
-        let t = b.tx(
-            a,
-            lf,
-            EchoTx {
-                queue: VecDeque::new(),
-                sent: 0,
-            },
-        );
-        let r = b.rx(
-            z,
-            lr,
-            EchoRx {
-                pending: VecDeque::new(),
-            },
-        );
+        let t = b.tx(a, lf, EchoTx::default());
+        let r = b.rx(z, lr, EchoRx::default());
         b.listen(lf, r);
         b.listen(lr, t);
         let c = b.collector(CountCollector::default());
@@ -916,7 +566,6 @@ mod tests {
         assert_eq!(out.collectors[0].delivered, 10);
         assert_eq!(out.collectors[0].pushed, 10);
         assert_eq!(out.issued, vec![10]);
-        assert_eq!(out.targets, vec![10]);
         assert!(!out.deadline_hit);
         assert!(out.finished_at > Instant::ZERO);
         assert!(out.queue.popped > 0);
@@ -943,21 +592,8 @@ mod tests {
         let z = b.node(NodeRole::Sink);
         let lf = b.link(a, z, clean_channel(), "fwd");
         let lr = b.link(z, a, clean_channel(), "rev");
-        let t = b.tx(
-            a,
-            lf,
-            EchoTx {
-                queue: VecDeque::new(),
-                sent: 0,
-            },
-        );
-        let r = b.rx(
-            z,
-            lr,
-            EchoRx {
-                pending: VecDeque::new(),
-            },
-        );
+        let t = b.tx(a, lf, EchoTx::default());
+        let r = b.rx(z, lr, EchoRx::default());
         b.listen(lf, r);
         let c = b.collector(CountCollector::default());
         b.source(
@@ -968,6 +604,20 @@ mod tests {
         // No deliver()/forward() for r: must be rejected.
         let err = b.build().err().expect("unwired rx must not build");
         assert!(err.to_string().contains("no delivery target"), "{err}");
+    }
+
+    #[test]
+    fn build_rejects_unknown_listen_and_drain_links() {
+        let mut b = p2p(1);
+        // The p2p wiring has links 0 and 1 only, and one rx.
+        b.listen(LinkId(7), RxId(0));
+        b.drain_after(RxId(0), LinkId(9));
+        b.deliver(RxId(4), ColId(0));
+        let err = b.build().err().expect("unknown links must not build");
+        let msg = err.to_string();
+        assert!(msg.contains("listens on unknown link 7"), "{msg}");
+        assert!(msg.contains("drains after unknown link 9"), "{msg}");
+        assert!(msg.contains("unknown rx 4 has a delivery target"), "{msg}");
     }
 
     #[test]
@@ -997,21 +647,8 @@ mod tests {
         for (from, to) in [(n0, n1), (n1, n2)] {
             let lf = b.link(from, to, clean_channel(), "fwd");
             let lr = b.link(to, from, clean_channel(), "rev");
-            let t = b.tx(
-                from,
-                lf,
-                EchoTx {
-                    queue: VecDeque::new(),
-                    sent: 0,
-                },
-            );
-            let r = b.rx(
-                to,
-                lr,
-                EchoRx {
-                    pending: VecDeque::new(),
-                },
-            );
+            let t = b.tx(from, lf, EchoTx::default());
+            let r = b.rx(to, lr, EchoRx::default());
             b.listen(lf, r);
             b.listen(lr, t);
             b.drain_after(r, lr);

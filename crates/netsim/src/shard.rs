@@ -10,9 +10,10 @@
 //! coordinator's conservative horizon rule depends on — a cut link with
 //! zero or time-varying delay is rejected at partition time.
 //!
-//! [`ShardSim`] is the per-shard event loop. It mirrors the serial
-//! engine's pump semantics (timers → per-link serve/transmit → drains)
-//! but processes events in **granted windows**: [`ShardSim::run_window`]
+//! [`ShardSim`] is the per-shard event loop. It runs the same pump as
+//! the serial engine (timers → per-link serve/transmit → drains, from
+//! the crate-private `pump` module) but processes events in **granted
+//! windows**: [`ShardSim::run_window`]
 //! consumes every queued event with `at ≤ grant`, accumulating frames
 //! that crossed an outbound cut link into a timestamped batch for the
 //! coordinator to route.
@@ -39,12 +40,11 @@
 
 use crate::collect::Collect;
 use crate::endpoint::{RxEndpoint, TxEndpoint};
-use crate::link::{Channel, DelayModel, Fate};
+use crate::link::{Channel, DelayModel};
+use crate::pump::{wake_at, Pump, WakeSlot, Wiring};
 use crate::topology::{ColId, EndpointId, LinkId, NodeId, RxId, Topology, TopologyError, TxId};
 use crate::traffic::TrafficGen;
-use bytes::Bytes;
-use sim_core::{Duration, EventId, EventQueue, Instant, QueueProfile};
-use telemetry::TraceEvent;
+use sim_core::{Duration, EventQueue, Instant, QueueProfile};
 
 /// Deterministic node → shard assignment.
 #[derive(Clone, Debug)]
@@ -236,14 +236,6 @@ pub struct Inbound<F> {
     pub clean: bool,
 }
 
-/// Where a receiver's completed deliveries go (shard-local; forwarding
-/// never crosses shards — co-located endpoints share a node, and a node
-/// lives in exactly one shard).
-enum Delivery {
-    Collect(ColId),
-    Forward(TxId),
-}
-
 struct ShardSource {
     gen: TrafficGen,
     tx: TxId,
@@ -256,7 +248,7 @@ struct ShardSource {
 }
 
 /// One local link: an owned channel (intra-shard or outbound cut) or an
-/// inbound stub.
+/// inbound stub. Its senders and listeners live in the shared wiring.
 struct LinkSlot {
     global: usize,
     dir: &'static str,
@@ -264,8 +256,6 @@ struct LinkSlot {
     channel: Option<Channel>,
     /// Owned cut link: arrivals are exported as batches, not scheduled.
     export: bool,
-    senders: Vec<EndpointId>,
-    listeners: Vec<EndpointId>,
     /// Next per-link arrival sequence (owned links only).
     next_seq: u64,
 }
@@ -278,13 +268,7 @@ struct LinkSlot {
 pub struct ShardBuilder<T, R, C> {
     payload_bytes: usize,
     links: Vec<LinkSlot>,
-    txs: Vec<T>,
-    tx_link: Vec<usize>,
-    rxs: Vec<R>,
-    rx_link: Vec<usize>,
-    rx_delivery: Vec<Option<Delivery>>,
-    rx_drain_after: Vec<Option<usize>>,
-    collectors: Vec<C>,
+    wiring: Wiring<T, R, C>,
     expects: Vec<(ColId, u64)>,
     sources: Vec<ShardSource>,
 }
@@ -300,108 +284,73 @@ where
         ShardBuilder {
             payload_bytes,
             links: Vec::new(),
-            txs: Vec::new(),
-            tx_link: Vec::new(),
-            rxs: Vec::new(),
-            rx_link: Vec::new(),
-            rx_delivery: Vec::new(),
-            rx_drain_after: Vec::new(),
-            collectors: Vec::new(),
+            wiring: Wiring::new(),
             expects: Vec::new(),
             sources: Vec::new(),
         }
     }
 
-    fn push_link(&mut self, slot: LinkSlot) -> LinkId {
-        self.links.push(slot);
+    fn push_link(
+        &mut self,
+        global: usize,
+        dir: &'static str,
+        channel: Option<Channel>,
+        export: bool,
+    ) -> LinkId {
+        self.links.push(LinkSlot {
+            global,
+            dir,
+            channel,
+            export,
+            next_seq: 0,
+        });
+        self.wiring.add_link();
         LinkId(self.links.len() - 1)
     }
 
     /// Add an intra-shard link carried by `channel` (global id `global`).
     pub fn link(&mut self, global: usize, channel: Channel, dir: &'static str) -> LinkId {
-        self.push_link(LinkSlot {
-            global,
-            dir,
-            channel: Some(channel),
-            export: false,
-            senders: Vec::new(),
-            listeners: Vec::new(),
-            next_seq: 0,
-        })
+        self.push_link(global, dir, Some(channel), false)
     }
 
     /// Add an outbound cut link: this shard owns the channel; arrivals
     /// are exported to the coordinator instead of scheduled locally.
     pub fn cut_out(&mut self, global: usize, channel: Channel, dir: &'static str) -> LinkId {
-        self.push_link(LinkSlot {
-            global,
-            dir,
-            channel: Some(channel),
-            export: true,
-            senders: Vec::new(),
-            listeners: Vec::new(),
-            next_seq: 0,
-        })
+        self.push_link(global, dir, Some(channel), true)
     }
 
     /// Add an inbound cut-link stub: no channel, only listeners for
     /// arrivals the coordinator injects.
     pub fn cut_in(&mut self, global: usize) -> LinkId {
-        self.push_link(LinkSlot {
-            global,
-            dir: "",
-            channel: None,
-            export: false,
-            senders: Vec::new(),
-            listeners: Vec::new(),
-            next_seq: 0,
-        })
+        self.push_link(global, "", None, false)
     }
 
     /// Host a sending endpoint transmitting on local `link`.
     pub fn tx(&mut self, link: LinkId, endpoint: T) -> TxId {
-        let id = TxId(self.txs.len());
-        self.txs.push(endpoint);
-        self.tx_link.push(link.0);
-        if let Some(slot) = self.links.get_mut(link.0) {
-            slot.senders.push(EndpointId::Tx(id));
-        }
-        id
+        self.wiring.tx(link, endpoint)
     }
 
     /// Host a receiving endpoint transmitting its control frames on
     /// local `link`.
     pub fn rx(&mut self, link: LinkId, endpoint: R) -> RxId {
-        let id = RxId(self.rxs.len());
-        self.rxs.push(endpoint);
-        self.rx_link.push(link.0);
-        if let Some(slot) = self.links.get_mut(link.0) {
-            slot.senders.push(EndpointId::Rx(id));
-        }
-        id
+        self.wiring.rx(Some(link), endpoint)
     }
 
     /// Host a receiving endpoint that never transmits: a pure listener
     /// (a protocol without reverse traffic, or a receiver whose control
     /// path lives on another shard's links).
     pub fn rx_silent(&mut self, endpoint: R) -> RxId {
-        let id = RxId(self.rxs.len());
-        self.rxs.push(endpoint);
-        self.rx_link.push(usize::MAX);
-        id
+        self.wiring.rx(None, endpoint)
     }
 
     /// Deliver local `link`'s arrivals to `endpoint`.
     pub fn listen(&mut self, link: LinkId, endpoint: impl Into<EndpointId>) {
-        if let Some(slot) = self.links.get_mut(link.0) {
-            slot.listeners.push(endpoint.into());
-        }
+        self.wiring.listen(link, endpoint.into());
     }
 
     /// Register a collector.
     pub fn collector(&mut self, collector: C) -> ColId {
-        self.collectors.push(collector);
-        ColId(self.collectors.len() - 1)
+        self.wiring.collector(collector)
     }
 
     /// Shard-local completion condition: `col` must reach `total`
@@ -424,32 +373,23 @@ where
 
     /// Terminal receiver: `rx`'s deliveries credit `col`.
     pub fn deliver(&mut self, rx: RxId, col: ColId) {
-        if self.rx_delivery.len() <= rx.0 {
-            self.rx_delivery.resize_with(rx.0 + 1, || None);
-        }
-        self.rx_delivery[rx.0] = Some(Delivery::Collect(col));
+        self.wiring.deliver(rx, col);
     }
 
     /// Store-and-forward receiver: `rx`'s deliveries push into `tx`
     /// (both endpoints co-located on this shard by construction).
     pub fn forward(&mut self, rx: RxId, tx: TxId) {
-        if self.rx_delivery.len() <= rx.0 {
-            self.rx_delivery.resize_with(rx.0 + 1, || None);
-        }
-        self.rx_delivery[rx.0] = Some(Delivery::Forward(tx));
+        self.wiring.forward(rx, tx);
     }
 
     /// Drain `rx`'s deliveries right after local `link` is pumped
     /// (default: after the last local link).
     pub fn drain_after(&mut self, rx: RxId, link: LinkId) {
-        if self.rx_drain_after.len() <= rx.0 {
-            self.rx_drain_after.resize_with(rx.0 + 1, || None);
-        }
-        self.rx_drain_after[rx.0] = Some(link.0);
+        self.wiring.drain_after(rx, link);
     }
 
     /// Validate the shard wiring and produce a runnable [`ShardSim`].
-    pub fn build(mut self) -> Result<ShardSim<T, R, C>, TopologyError> {
+    pub fn build(self) -> Result<ShardSim<T, R, C>, TopologyError> {
         let mut errors = Vec::new();
         if self.links.is_empty() {
             errors.push("shard has no links".to_string());
@@ -464,94 +404,51 @@ where
             }
         }
         for (i, slot) in self.links.iter().enumerate() {
+            let listeners = &self.wiring.listeners[i];
             if slot.channel.is_none() {
-                if !slot.senders.is_empty() {
+                if !self.wiring.senders[i].is_empty() {
                     errors.push(format!(
                         "local link {i} (global {}) is an inbound stub but has senders",
                         slot.global
                     ));
                 }
-                if slot.listeners.is_empty() {
+                if listeners.is_empty() {
                     errors.push(format!("inbound cut link {} has no listeners", slot.global));
                 }
             }
-            if slot.export && !slot.listeners.is_empty() {
+            if slot.export && !listeners.is_empty() {
                 errors.push(format!(
                     "outbound cut link {} cannot have local listeners",
                     slot.global
                 ));
             }
         }
-        for (i, &l) in self.tx_link.iter().enumerate() {
-            if l >= self.links.len() {
-                errors.push(format!("tx {i} transmits on an unknown link"));
-            }
-        }
-        for (i, &l) in self.rx_link.iter().enumerate() {
-            // `usize::MAX` marks a silent receiver with no transmit link.
-            if l != usize::MAX && l >= self.links.len() {
-                errors.push(format!("rx {i} transmits on an unknown link"));
-            }
-        }
-        self.rx_delivery.resize_with(self.rxs.len(), || None);
-        self.rx_drain_after.resize_with(self.rxs.len(), || None);
-        let mut deliveries = Vec::with_capacity(self.rxs.len());
-        for (i, d) in self.rx_delivery.drain(..).enumerate() {
-            match d {
-                Some(Delivery::Forward(t)) => {
-                    if t.0 >= self.txs.len() {
-                        errors.push(format!("rx {i} forwards into an unknown tx"));
-                    }
-                    deliveries.push(Delivery::Forward(t));
-                }
-                Some(Delivery::Collect(c)) => {
-                    if c.0 >= self.collectors.len() {
-                        errors.push(format!("rx {i} delivers to an unknown collector"));
-                    }
-                    deliveries.push(Delivery::Collect(c));
-                }
-                None => {
-                    errors.push(format!("rx {i} has no delivery target"));
-                    deliveries.push(Delivery::Collect(ColId(0)));
-                }
-            }
-        }
+        let pump = self.wiring.finish(self.payload_bytes, &mut errors);
         for (i, s) in self.sources.iter().enumerate() {
-            if s.tx.0 >= self.txs.len() {
+            if s.tx.0 >= pump.txs.len() {
                 errors.push(format!("source {i} feeds an unknown tx"));
             }
-            if s.col.is_some_and(|c| c.0 >= self.collectors.len()) {
+            if s.col.is_some_and(|c| c.0 >= pump.collectors.len()) {
                 errors.push(format!("source {i} uses an unknown collector"));
             }
         }
         for (i, (c, _)) in self.expects.iter().enumerate() {
-            if c.0 >= self.collectors.len() {
+            if c.0 >= pump.collectors.len() {
                 errors.push(format!("expect {i} references an unknown collector"));
             }
         }
         if !errors.is_empty() {
             return Err(TopologyError(errors));
         }
-        let links = self.links.len();
-        let mut drains: Vec<Vec<RxId>> = vec![Vec::new(); links];
-        for (i, after) in self.rx_drain_after.iter().enumerate() {
-            let li = after.unwrap_or(links - 1);
-            drains[li.min(links - 1)].push(RxId(i));
-        }
         let mut q = EventQueue::new();
         q.set_profiler(profile::current());
         Ok(ShardSim {
-            payload: Bytes::from(vec![0u8; self.payload_bytes]),
             links: self.links,
-            txs: self.txs,
-            rxs: self.rxs,
-            deliveries,
-            drains,
-            collectors: self.collectors,
+            pump,
             expects: self.expects,
             sources: self.sources,
             q,
-            wake: None,
+            wake: WakeSlot::default(),
             trace: telemetry::global_handle("channel"),
             last_event_at: Instant::ZERO,
             done_since: None,
@@ -575,8 +472,6 @@ pub struct FinishedShard<T, R, C> {
     pub collectors: Vec<C>,
     /// SDUs issued per local source.
     pub issued: Vec<u64>,
-    /// SDUs each local source would issue in total.
-    pub targets: Vec<u64>,
     /// Global finish instant (coordinator-decided).
     pub finished_at: Instant,
     /// True if the deadline fired before completion.
@@ -610,23 +505,18 @@ pub struct WindowSummary<F> {
     pub outbound: Vec<Inbound<F>>,
 }
 
-/// One shard's runnable slice of a simulation: a serial-identical pump
+/// One shard's runnable slice of a simulation: the serial engine's pump
 /// over local links, driven in coordinator-granted windows.
 pub struct ShardSim<T, R, C>
 where
     T: TxEndpoint,
 {
-    payload: Bytes,
     links: Vec<LinkSlot>,
-    txs: Vec<T>,
-    rxs: Vec<R>,
-    deliveries: Vec<Delivery>,
-    drains: Vec<Vec<RxId>>,
-    collectors: Vec<C>,
+    pump: Pump<T, R, C>,
     expects: Vec<(ColId, u64)>,
     sources: Vec<ShardSource>,
     q: EventQueue<ShardEvent<T::Frame>>,
-    wake: Option<(Instant, EventId)>,
+    wake: WakeSlot,
     trace: telemetry::Trace,
     last_event_at: Instant,
     done_since: Option<Instant>,
@@ -660,21 +550,13 @@ where
     /// (first push per source, one wake). Call once, before the first
     /// window.
     pub fn start(&mut self) {
-        for t in self.txs.iter_mut() {
-            t.start(Instant::ZERO);
-        }
-        for r in self.rxs.iter_mut() {
-            r.start(Instant::ZERO);
-        }
+        self.pump.start();
         for (s, src) in self.sources.iter_mut().enumerate() {
             if let Some((at, id)) = src.gen.next() {
                 self.q.schedule(at, ShardEvent::Push { source: s, id });
             }
         }
-        self.wake = Some((
-            Instant::ZERO,
-            self.q.schedule(Instant::ZERO, ShardEvent::Wake),
-        ));
+        self.wake.arm_at_zero(&mut self.q, ShardEvent::Wake);
     }
 
     /// Schedule coordinator-routed cut-link arrivals. The caller sorts
@@ -707,8 +589,8 @@ where
             && self
                 .expects
                 .iter()
-                .all(|(c, n)| self.collectors[c.0].delivered_unique() >= *n)
-            && self.txs.iter().all(|t| t.buffered() == 0)
+                .all(|(c, n)| self.pump.collectors[c.0].delivered_unique() >= *n)
+            && self.pump.txs.iter().all(|t| t.buffered() == 0)
     }
 
     /// Process every queued event with `at ≤ grant`. With
@@ -726,7 +608,7 @@ where
             let (now, first) = self.q.pop().expect("peeked event pops");
             self.last_event_at = now;
             self.dispatch_instant(now, first);
-            self.pump(now, &mut outbound);
+            self.pump_links(now, &mut outbound);
             if self.locally_done() {
                 if self.done_since.is_none() {
                     self.done_since = Some(now);
@@ -734,7 +616,7 @@ where
             } else {
                 self.done_since = None;
             }
-            if self.txs.iter().any(|t| t.is_failed()) {
+            if self.pump.txs.iter().any(|t| t.is_failed()) {
                 self.failed_at = Some(now);
                 committed = now;
                 break;
@@ -743,7 +625,9 @@ where
                 committed = now;
                 break;
             }
-            self.rearm_wake(now);
+            let channels = self.links.iter().filter_map(|s| s.channel.as_ref());
+            let at = wake_at(now, self.pump.next_timer(), channels);
+            self.wake.rearm(&mut self.q, now, at, ShardEvent::Wake);
         }
         outbound.sort_by_key(|a| (a.at, a.link, a.seq));
         WindowSummary {
@@ -788,9 +672,9 @@ where
                 self.events += 1;
                 let src = &mut self.sources[source];
                 if let Some(col) = src.col {
-                    self.collectors[col.0].on_push(now, id);
+                    self.pump.collectors[col.0].on_push(now, id);
                 }
-                self.txs[src.tx.0].push(id, self.payload.clone());
+                self.pump.txs[src.tx.0].push(id, self.pump.payload.clone());
                 if let Some((at, nid)) = src.gen.next() {
                     self.q
                         .schedule(at.max(now), ShardEvent::Push { source, id: nid });
@@ -800,83 +684,40 @@ where
                 link, frame, clean, ..
             } => {
                 self.events += 1;
-                match self.links[link].listeners.as_slice() {
-                    [ep] => match *ep {
-                        EndpointId::Tx(t) => self.txs[t.0].handle_frame(now, frame, clean),
-                        EndpointId::Rx(r) => self.rxs[r.0].handle_frame(now, frame, clean),
-                    },
-                    listeners => {
-                        let last = listeners.len().saturating_sub(1);
-                        let mut frame = Some(frame);
-                        for (k, ep) in listeners.iter().enumerate() {
-                            let f = if k == last {
-                                frame.take().expect("frame consumed once")
-                            } else {
-                                frame.as_ref().expect("frame present").clone()
-                            };
-                            match *ep {
-                                EndpointId::Tx(t) => self.txs[t.0].handle_frame(now, f, clean),
-                                EndpointId::Rx(r) => self.rxs[r.0].handle_frame(now, f, clean),
-                            }
-                        }
-                    }
-                }
+                self.pump.arrive(now, link, frame, clean);
             }
-            ShardEvent::Wake => {
-                if self.wake.is_some_and(|(t, _)| t <= now) {
-                    self.wake = None;
-                }
-            }
+            ShardEvent::Wake => self.wake.fired(now),
         }
     }
 
-    /// The serial engine's pump, restricted to local links: timers,
-    /// per-link serve/transmit (exported on cut links), drains.
-    fn pump(&mut self, now: Instant, outbound: &mut Vec<Inbound<T::Frame>>) {
-        for t in self.txs.iter_mut() {
-            t.on_timeout(now);
-        }
-        for r in self.rxs.iter_mut() {
-            r.on_timeout(now);
-        }
-        for li in 0..self.links.len() {
-            while let Some(channel) = self.links[li].channel.as_ref() {
-                if !channel.idle(now) {
-                    break;
-                }
-                let mut found = None;
-                for ep in &self.links[li].senders {
-                    found = match *ep {
-                        EndpointId::Tx(t) => {
-                            self.txs[t.0].poll_transmit(now).map(|f| (T::meta(&f), f))
-                        }
-                        EndpointId::Rx(r) => {
-                            self.rxs[r.0].poll_transmit(now).map(|f| (R::meta(&f), f))
-                        }
-                    };
-                    if found.is_some() {
-                        break;
-                    }
-                }
-                let Some((meta, frame)) = found else {
-                    break;
-                };
-                let slot = &mut self.links[li];
-                let channel = slot.channel.as_mut().expect("owned link has channel");
-                match channel.transmit(now, meta.bytes, meta.is_info) {
-                    Fate::Arrives { at, clean } => {
-                        let seq = slot.next_seq;
-                        slot.next_seq += 1;
-                        if slot.export {
+    /// The shared pump over local links: timers, per-link serve (owned
+    /// channels only; arrivals on cut links are exported), drains.
+    fn pump_links(&mut self, now: Instant, outbound: &mut Vec<Inbound<T::Frame>>) {
+        self.pump.fire_timers(now);
+        let q = &mut self.q;
+        for (li, slot) in self.links.iter_mut().enumerate() {
+            let LinkSlot {
+                global,
+                dir,
+                channel,
+                export,
+                next_seq,
+            } = slot;
+            if let Some(channel) = channel {
+                self.pump
+                    .serve(now, li, channel, dir, &self.trace, |at, frame, clean| {
+                        let seq = *next_seq;
+                        *next_seq += 1;
+                        if *export {
                             outbound.push(Inbound {
                                 at,
-                                link: slot.global,
+                                link: *global,
                                 seq,
                                 frame,
                                 clean,
                             });
                         } else {
-                            self.q.schedule(
+                            q.schedule(
                                 at,
                                 ShardEvent::Arrive {
                                     link: li,
@@ -886,75 +727,9 @@ where
                                 },
                             );
                         }
-                    }
-                    Fate::Lost => {
-                        let dir = slot.dir;
-                        self.trace.emit(now, || TraceEvent::ChannelDrop { dir });
-                    }
-                }
+                    });
             }
-            for r in 0..self.drains[li].len() {
-                let rid = self.drains[li][r];
-                while let Some((id, _len)) = self.rxs[rid.0].poll_deliver(now) {
-                    match self.deliveries[rid.0] {
-                        Delivery::Collect(c) => self.collectors[c.0].on_deliver(now, id),
-                        Delivery::Forward(t) => {
-                            self.txs[t.0].push(id, self.payload.clone());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Re-arm the single wake at the earliest pending protocol instant
-    /// over local endpoints and owned channels — the serial engine's
-    /// rule verbatim, restricted to the shard.
-    fn rearm_wake(&mut self, now: Instant) {
-        let mut want: Option<Instant> = None;
-        let mut consider = |c: Option<Instant>| {
-            if let Some(t) = c {
-                want = Some(want.map_or(t, |w| w.min(t)));
-            }
-        };
-        for t in &self.txs {
-            consider(t.poll_timeout());
-        }
-        for r in &self.rxs {
-            consider(r.poll_timeout());
-        }
-        for slot in &self.links {
-            if let Some(c) = &slot.channel {
-                if !c.idle(now) {
-                    consider(Some(c.free_at()));
-                }
-            }
-        }
-        let Some(t) = want else {
-            return;
-        };
-        let t = if t > now {
-            Some(t)
-        } else {
-            self.links
-                .iter()
-                .filter_map(|s| s.channel.as_ref())
-                .filter(|c| !c.idle(now))
-                .map(|c| c.free_at())
-                .min()
-        };
-        if let Some(t) = t {
-            debug_assert!(t > now, "wake must advance time");
-            match self.wake {
-                Some((at, id)) if t < at => {
-                    let id = self.q.reschedule(id, t).expect("tracked wake is pending");
-                    self.wake = Some((t, id));
-                }
-                None => {
-                    self.wake = Some((t, self.q.schedule(t, ShardEvent::Wake)));
-                }
-                Some(_) => {}
-            }
+            self.pump.drain(now, li);
         }
     }
 
@@ -967,10 +742,9 @@ where
     pub fn into_finished(self, finished_at: Instant, deadline_hit: bool) -> FinishedShard<T, R, C> {
         FinishedShard {
             issued: self.sources.iter().map(|s| s.gen.issued()).collect(),
-            targets: self.sources.iter().map(|s| s.gen.total()).collect(),
-            txs: self.txs,
-            rxs: self.rxs,
-            collectors: self.collectors,
+            txs: self.pump.txs,
+            rxs: self.pump.rxs,
+            collectors: self.pump.collectors,
             finished_at,
             deadline_hit,
         }
@@ -980,7 +754,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::ErrorModel;
+    use crate::pump::testkit::{clean_channel, CountCollector, EchoRx, EchoTx};
     use crate::topology::{LinkSpec, NodeRole};
 
     fn chain_topo(hops: usize) -> Topology {
@@ -1107,89 +881,14 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_cut_wiring() {
-        struct NoTx;
-        impl TxEndpoint for NoTx {
-            type Frame = u64;
-            fn start(&mut self, _: Instant) {}
-            fn push(&mut self, _: u64, _: Bytes) -> bool {
-                false
-            }
-            fn poll_transmit(&mut self, _: Instant) -> Option<u64> {
-                None
-            }
-            fn handle_frame(&mut self, _: Instant, _: u64, _: bool) {}
-            fn on_timeout(&mut self, _: Instant) {}
-            fn poll_timeout(&self) -> Option<Instant> {
-                None
-            }
-            fn buffered(&self) -> usize {
-                0
-            }
-            fn meta(_: &u64) -> crate::endpoint::FrameMeta {
-                crate::endpoint::FrameMeta {
-                    bytes: 1,
-                    is_info: true,
-                }
-            }
-            fn drain_holding(&mut self, _: &mut Vec<f64>) {}
-            fn transmissions(&self) -> u64 {
-                0
-            }
-            fn retransmissions(&self) -> u64 {
-                0
-            }
-        }
-        struct NoRx;
-        impl RxEndpoint for NoRx {
-            type Frame = u64;
-            fn start(&mut self, _: Instant) {}
-            fn handle_frame(&mut self, _: Instant, _: u64, _: bool) {}
-            fn on_timeout(&mut self, _: Instant) {}
-            fn poll_timeout(&self) -> Option<Instant> {
-                None
-            }
-            fn poll_transmit(&mut self, _: Instant) -> Option<u64> {
-                None
-            }
-            fn poll_deliver(&mut self, _: Instant) -> Option<(u64, usize)> {
-                None
-            }
-            fn occupancy(&self) -> usize {
-                0
-            }
-            fn meta(_: &u64) -> crate::endpoint::FrameMeta {
-                crate::endpoint::FrameMeta {
-                    bytes: 1,
-                    is_info: true,
-                }
-            }
-        }
-        struct NoCol;
-        impl Collect for NoCol {
-            fn on_push(&mut self, _: Instant, _: u64) {}
-            fn on_deliver(&mut self, _: Instant, _: u64) {}
-            fn on_holding(&mut self, _: &[f64]) {}
-            fn sample(&mut self, _: Instant, _: usize, _: usize, _: f64) {}
-            fn delivered_unique(&self) -> u64 {
-                0
-            }
-        }
-
         // A sender on an inbound stub, a listener on an outbound cut
         // link, and descending global-id registration: all rejected.
-        let mut b: ShardBuilder<NoTx, NoRx, NoCol> = ShardBuilder::new(8);
-        let chan = || {
-            Channel::new(
-                1e6,
-                DelayModel::Fixed(Duration::from_millis(1)),
-                ErrorModel::Clean,
-            )
-        };
-        let out = b.cut_out(3, chan(), "fwd");
+        let mut b: ShardBuilder<EchoTx, EchoRx, CountCollector> = ShardBuilder::new(8);
+        let out = b.cut_out(3, clean_channel(), "fwd");
         let stub = b.cut_in(1); // descending: 1 after 3
-        b.tx(stub, NoTx);
+        b.tx(stub, EchoTx::default());
         b.listen(out, EndpointId::Rx(RxId(0)));
-        let r = b.rx(out, NoRx);
+        let r = b.rx(out, EchoRx::default());
         b.deliver(r, ColId(0)); // unknown collector
         let err = match b.build() {
             Err(e) => e,
@@ -1200,5 +899,28 @@ mod tests {
         assert!(msg.contains("inbound stub but has senders"), "{msg}");
         assert!(msg.contains("cannot have local listeners"), "{msg}");
         assert!(msg.contains("delivers to an unknown collector"), "{msg}");
+    }
+
+    #[test]
+    fn builder_rejects_unknown_listen_and_drain_links() {
+        let mut b: ShardBuilder<EchoTx, EchoRx, CountCollector> = ShardBuilder::new(8);
+        let lf = b.link(0, clean_channel(), "fwd");
+        let lr = b.link(1, clean_channel(), "rev");
+        let t = b.tx(lf, EchoTx::default());
+        let r = b.rx(lr, EchoRx::default());
+        b.listen(lf, r);
+        b.listen(lr, t);
+        let c = b.collector(CountCollector::default());
+        b.deliver(r, c);
+        // Local links are 0 and 1 only.
+        b.listen(LinkId(5), r);
+        b.drain_after(r, LinkId(6));
+        let err = match b.build() {
+            Err(e) => e,
+            Ok(_) => panic!("unknown local links accepted"),
+        };
+        let msg = err.to_string();
+        assert!(msg.contains("listens on unknown link 5"), "{msg}");
+        assert!(msg.contains("drains after unknown link 6"), "{msg}");
     }
 }

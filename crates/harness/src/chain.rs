@@ -14,9 +14,9 @@
 //! issue from the same generator stream, and the shard runtime's
 //! canonical same-instant dispatch order is partition-independent — so
 //! the report is **identical at every shard count**, including 1. The
-//! serial [`crate::relay::run_relay`] family is left untouched (it
-//! backs the pinned golden fingerprints); this family is its parallel
-//! twin, compared statistically in tests.
+//! one-window [`crate::relay::run_relay`] family (which backs the pinned
+//! golden fingerprints) runs the same loop over the same wiring, so the
+//! two families' reports agree exactly, as tests check.
 //!
 //! Accounting across the cut: the sink shard's [`Collector`] is
 //! pre-seeded with the full push schedule (a replayed clone of the
@@ -27,12 +27,12 @@
 use crate::metrics::{Collector, RunReport};
 use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::relay::RelayConfig;
-use crate::scenario::ScenarioConfig;
+use crate::scenario::{flow_report, ScenarioConfig};
 use crate::traffic::TrafficGen;
 use netsim::Machine;
 use netsim::{
-    link::Channel, DelayModel, FinishedShard, LinkId, LinkSpec, NodeId, NodeRole, Partition,
-    ShardBuilder, ShardSim, Topology, TopologyError,
+    link::Channel, DelayModel, FinishedShard, LinkId, LinkSpec, NodeId, Partition, ShardBuilder,
+    ShardSim, Topology, TopologyError,
 };
 use sim_core::SeedSplitter;
 use std::collections::BTreeMap;
@@ -58,12 +58,12 @@ pub(crate) fn chain_gen(base: &ScenarioConfig) -> TrafficGen {
 }
 
 /// Global ids: hop `i`'s forward (data) link.
-fn lf(i: usize) -> usize {
+pub(crate) fn lf(i: usize) -> usize {
     2 * i
 }
 
 /// Global ids: hop `i`'s reverse (control) link.
-fn lr(i: usize) -> usize {
+pub(crate) fn lr(i: usize) -> usize {
     2 * i + 1
 }
 
@@ -72,15 +72,11 @@ fn lr(i: usize) -> usize {
 /// fwd/rev per hop.
 fn chain_topology(cfg: &RelayConfig) -> (Topology, Vec<DelayModel>) {
     let h = cfg.hops;
-    let mut topo = Topology::default();
+    let mut topo = Topology {
+        nodes: h + 1,
+        ..Topology::default()
+    };
     let mut delays = Vec::with_capacity(2 * h);
-    for n in 0..=h {
-        topo.roles.push(match n {
-            0 => NodeRole::Source,
-            n if n == h => NodeRole::Sink,
-            _ => NodeRole::Relay,
-        });
-    }
     for i in 0..h {
         topo.links.push(LinkSpec {
             from: NodeId(i),
@@ -234,23 +230,20 @@ where
         let tx0_extras = (lo == 0).then(|| out.txs[0].extra_stats());
         let report = (hi == h).then(|| {
             let col = out.collectors.pop().expect("sink collector");
-            let rx_extras = out.rxs.last().expect("sink receiver").extra_stats();
+            let rx = out.rxs.last().expect("sink receiver");
             // `offered` is a placeholder (the source shard knows the
             // real count); passing the delivered count keeps the
             // `lost` subtraction at zero until the coordinator patches
-            // both fields.
+            // both fields, with the senders' totals and counters.
             let delivered = col.delivered_unique();
-            Box::new(col.finish(
+            Box::new(flow_report(
                 protocol,
+                col,
                 delivered,
-                out.finished_at,
-                out.deadline_hit,
-                false,
-                0,
-                0,
+                &out,
+                &[],
+                rx,
                 base.t_f(),
-                Registry::new(),
-                rx_extras,
             ))
         });
         ChainShardOut {
@@ -385,23 +378,27 @@ mod tests {
         assert_eq!(wide.finished_at, serial.finished_at);
     }
 
-    /// The sharded family tracks the serial relay statistically (the
-    /// two engines order same-instant events differently, so exact
-    /// equality is not the contract — the serial family keeps the
-    /// pinned goldens).
+    /// The sharded family equals the one-window relay exactly: both run
+    /// the same loop over the same wiring, and the canonical dispatch
+    /// order does not depend on the cut.
     #[test]
-    fn tracks_serial_relay_statistically() {
+    fn equals_one_window_relay_at_every_shard_count() {
         let cfg = chain(3, 1_000, 1e-6);
-        let sharded = run_chain_lams(&cfg, 2);
-        let serial = crate::relay::run_relay_lams(&cfg);
-        assert_eq!(sharded.delivered_unique, serial.delivered_unique);
-        assert_eq!(sharded.lost, 0);
-        let d = (sharded.elapsed_s() - serial.elapsed_s()).abs() / serial.elapsed_s();
-        assert!(
-            d < 0.05,
-            "sharded {} vs serial {}",
-            sharded.elapsed_s(),
-            serial.elapsed_s()
-        );
+        let relay = crate::relay::run_relay_lams(&cfg);
+        assert_eq!(relay.lost, 0);
+        for shards in 1..=3 {
+            let r = run_chain_lams(&cfg, shards);
+            assert_eq!(r.finished_at, relay.finished_at, "{shards} shards");
+            assert_eq!(r.delivered_unique, relay.delivered_unique);
+            assert_eq!(r.duplicates, relay.duplicates);
+            assert_eq!(r.transmissions, relay.transmissions, "{shards} shards");
+            assert_eq!(r.retransmissions, relay.retransmissions);
+            assert_eq!(r.delay.mean().to_bits(), relay.delay.mean().to_bits());
+            assert_eq!(
+                r.e2e_delay.mean().to_bits(),
+                relay.e2e_delay.mean().to_bits(),
+                "{shards} shards"
+            );
+        }
     }
 }

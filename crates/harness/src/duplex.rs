@@ -16,10 +16,10 @@
 
 use crate::metrics::{Collector, RunReport};
 use crate::node::{Driver, RxEndpoint, TxEndpoint};
-use crate::scenario::ScenarioConfig;
+use crate::scenario::{flow_report, run_one_window, ScenarioConfig};
 use crate::traffic::TrafficGen;
 use netsim::Machine;
-use netsim::{NodeRole, SimBuilder};
+use netsim::ShardBuilder;
 use sim_core::SeedSplitter;
 
 /// Reports for the two directions: `a_to_b` and `b_to_a`.
@@ -57,65 +57,50 @@ where
     });
     let (chan_a, chan_b) = cfg.build_channels();
 
-    let mut b = SimBuilder::new(cfg.payload_bytes, cfg.deadline, cfg.sample_every);
-    let na = b.node(NodeRole::Duplex);
-    let nb = b.node(NodeRole::Duplex);
-    let la = b.link(na, nb, chan_a, "fwd");
-    let lb = b.link(nb, na, chan_b, "rev");
-    let ra = b.rx(na, la, mk_rx(0));
-    let ta = b.tx(na, la, mk_tx(0));
-    let rb = b.rx(nb, lb, mk_rx(1));
-    let tb = b.tx(nb, lb, mk_tx(1));
+    let mut b = ShardBuilder::new(cfg.payload_bytes);
+    let la = b.link(0, chan_a, "fwd");
+    let lb = b.link(1, chan_b, "rev");
+    let ra = b.rx(la, mk_rx(0));
+    let ta = b.tx(la, mk_tx(0));
+    let rb = b.rx(lb, mk_rx(1));
+    let tb = b.tx(lb, mk_tx(1));
     b.listen(la, rb);
     b.listen(la, tb);
     b.listen(lb, ra);
     b.listen(lb, ta);
     let c0 = b.collector(Collector::new());
     let c1 = b.collector(Collector::new());
-    b.source(gens.next().expect("gen a"), ta, c0);
-    b.source(gens.next().expect("gen b"), tb, c1);
+    b.source(gens.next().expect("gen a"), ta, Some(c0), 0);
+    b.source(gens.next().expect("gen b"), tb, Some(c1), 1);
+    b.expect(c0, cfg.n_packets);
+    b.expect(c1, cfg.n_packets);
     b.deliver(ra, c1);
     b.deliver(rb, c0);
     b.sample(c0, ta, vec![ra]);
     b.sample(c1, tb, vec![rb]);
+    b.sample_every(cfg.sample_every);
     b.holding(c0, ta);
     b.holding(c1, tb);
 
-    let netsim::Outcome {
-        txs,
-        rxs,
-        collectors,
-        finished_at,
-        deadline_hit,
-        queue,
-        wall_secs,
-        ..
-    } = b.build().expect("duplex wiring is valid").run();
-    // Both directions ran on the one event queue; each report carries
+    // Both directions run on the one event queue; each report carries
     // the whole run's perf block.
-    crate::metrics::perf_absorb(&queue, wall_secs);
-    let finish = |col: Collector, i: usize| {
-        col.finish(
+    let mut fin = run_one_window(b, cfg.deadline);
+    let mut cols = std::mem::take(&mut fin.collectors).into_iter();
+    let mut report = |i: usize| {
+        let col = cols.next().expect("one collector per direction");
+        let tx = &fin.txs[i..=i];
+        flow_report(
             protocol,
+            col,
             cfg.n_packets,
-            finished_at,
-            deadline_hit,
-            txs[i].is_failed(),
-            txs[i].transmissions(),
-            txs[i].retransmissions(),
+            &fin,
+            tx,
+            &fin.rxs[1 - i],
             cfg.t_f(),
-            txs[i].extra_stats(),
-            rxs[1 - i].extra_stats(),
         )
     };
-    let stamp = |mut r: RunReport| {
-        r.queue = queue;
-        r.wall_secs = wall_secs;
-        r
-    };
-    let mut it = collectors.into_iter();
-    let a_to_b = stamp(finish(it.next().expect("col a"), 0));
-    let b_to_a = stamp(finish(it.next().expect("col b"), 1));
+    let a_to_b = report(0);
+    let b_to_a = report(1);
     DuplexReport { a_to_b, b_to_a }
 }
 

@@ -10,16 +10,18 @@
 //!   implements for every protocol machine;
 //! * [`link`] / [`traffic`] — re-exports of the netsim channel model
 //!   and SDU generators (kept at their historical harness paths);
-//! * [`scenario`] / [`duplex`] / [`relay`] — thin topology builders over
-//!   the netsim engine: 2 nodes/1 link each way, 2 duplex nodes/2
-//!   links, and an N+1-node store-and-forward chain (common random
-//!   numbers across protocols);
+//! * [`scenario`] / [`duplex`] / [`relay`] — thin topology builders run
+//!   as one netsim shard in one window: 2 nodes/1 link each way, 2
+//!   duplex nodes/2 links, and an N+1-node store-and-forward chain
+//!   (common random numbers across protocols);
+//! * [`chain`] — the same relay chain split across threads by netsim's
+//!   conservative coordinator (`repro --shards N`);
 //! * [`metrics`] — per-run measurement collection and [`metrics::RunReport`];
 //! * [`parallel`] / [`runner`] — the experiment runner: worker-thread
 //!   fan-out with deterministic merging, CLI parsing, JSON reports;
 //! * [`profile_report`] — rendering for `repro --profile` self-profiles
 //!   (JSON document, human tables, folded flamegraph stacks);
-//! * [`experiments`] — the E1–E17 suite regenerating every table and
+//! * [`experiments`] — the E1–E18 suite regenerating every table and
 //!   figure of the paper (see DESIGN.md for the index);
 //! * [`report`] — plain-text table/series rendering.
 
@@ -45,9 +47,7 @@ pub use netsim::link::{Channel, DelayModel, ErrorModel, Fate, Outage};
 pub use netsim::traffic::{Pattern, TrafficGen};
 pub use passes::{run_multi_pass, run_multi_pass_limited, MultiPassReport, PassSummary};
 pub use relay::{run_relay, run_relay_lams, run_relay_sr, RelayConfig};
-pub use scenario::{
-    run, run_gbn, run_in, run_lams, run_lams_in, run_sr, BurstCfg, ScenarioConfig, ScenarioQueue,
-};
+pub use scenario::{run, run_gbn, run_lams, run_sr, BurstCfg, ScenarioConfig};
 
 #[cfg(test)]
 mod tests {

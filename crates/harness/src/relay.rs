@@ -16,12 +16,12 @@
 //!   resequencing delay is paid *per hop*, and a loss near the source
 //!   stalls the pipeline of every downstream link.
 
-use crate::chain::{chain_gen, hop_channels, hop_trace, HOP_RX, HOP_TX};
-use crate::metrics::RunReport;
+use crate::chain::{chain_gen, hop_channels, hop_trace, lf, lr, HOP_RX, HOP_TX};
+use crate::metrics::{Collector, RunReport};
 use crate::node::{Driver, RxEndpoint, TxEndpoint};
-use crate::scenario::ScenarioConfig;
+use crate::scenario::{flow_report, run_one_window, ScenarioConfig};
 use netsim::Machine;
-use netsim::{NodeRole, SimBuilder};
+use netsim::ShardBuilder;
 
 /// Relay chain configuration: `hops` identical links, each drawn from the
 /// base scenario (distance, rate, error model, protocol knobs).
@@ -51,35 +51,28 @@ where
 
     // hops + 1 nodes: source, h − 1 relays, sink. Per hop, a forward
     // link (data) and a reverse link (control), with independent
-    // channels per hop.
+    // channels per hop, numbered as in the sharded chain.
     // Each hop's receiver drains right after its reverse link pumps, so
     // forwarded frames reach the next hop's sender before that link's
     // pump pass — store-and-forward within the same instant.
-    let mut b = SimBuilder::new(base.payload_bytes, base.deadline, base.sample_every);
-    let mut nodes = Vec::with_capacity(h + 1);
-    for n in 0..=h {
-        nodes.push(b.node(match n {
-            0 => NodeRole::Source,
-            n if n == h => NodeRole::Sink,
-            _ => NodeRole::Relay,
-        }));
-    }
+    let mut b = ShardBuilder::new(base.payload_bytes);
     let mut txs = Vec::with_capacity(h);
     let mut rxs = Vec::with_capacity(h);
     for i in 0..h {
         let (f, r) = hop_channels(base, i);
-        let lf = b.link(nodes[i], nodes[i + 1], f, "fwd");
-        let lr = b.link(nodes[i + 1], nodes[i], r, "rev");
-        let t = b.tx(nodes[i], lf, mk_tx(i));
-        let rx = b.rx(nodes[i + 1], lr, mk_rx(i));
-        b.listen(lf, rx);
-        b.listen(lr, t);
-        b.drain_after(rx, lr);
+        let fwd = b.link(lf(i), f, "fwd");
+        let rev = b.link(lr(i), r, "rev");
+        let t = b.tx(fwd, mk_tx(i));
+        let rx = b.rx(rev, mk_rx(i));
+        b.listen(fwd, rx);
+        b.listen(rev, t);
+        b.drain_after(rx, rev);
         txs.push(t);
         rxs.push(rx);
     }
-    let c = b.collector(crate::metrics::Collector::new());
-    b.source(chain_gen(base), txs[0], c);
+    let c = b.collector(Collector::new());
+    b.source(chain_gen(base), txs[0], Some(c), 0);
+    b.expect(c, base.n_packets);
     for i in 0..h {
         if i + 1 < h {
             b.forward(rxs[i], txs[i + 1]);
@@ -89,30 +82,21 @@ where
     }
     // Report the source node's buffer; intermediate hops contribute to
     // rx occupancy (worst hop).
-    b.sample(c, txs[0], rxs.clone());
+    b.sample(c, txs[0], rxs);
+    b.sample_every(base.sample_every);
     b.holding(c, txs[0]);
 
-    let out = b.build().expect("relay wiring is valid").run();
-    let failed = out.txs.iter().any(|t| t.is_failed());
-    let transmissions: u64 = out.txs.iter().map(|t| t.transmissions()).sum();
-    let retransmissions: u64 = out.txs.iter().map(|t| t.retransmissions()).sum();
-    let col = out.collectors.into_iter().next().expect("one collector");
-    let mut report = col.finish(
+    let mut fin = run_one_window(b, base.deadline);
+    let col = fin.collectors.pop().expect("one collector");
+    flow_report(
         protocol,
-        out.issued[0],
-        out.finished_at,
-        out.deadline_hit,
-        failed,
-        transmissions,
-        retransmissions,
+        col,
+        fin.issued[0],
+        &fin,
+        &fin.txs,
+        &fin.rxs[h - 1],
         base.t_f(),
-        out.txs[0].extra_stats(),
-        out.rxs[h - 1].extra_stats(),
-    );
-    report.queue = out.queue;
-    report.wall_secs = out.wall_secs;
-    crate::metrics::perf_absorb(&report.queue, report.wall_secs);
-    report
+    )
 }
 
 /// Relay chain under LAMS-DLC at every hop.

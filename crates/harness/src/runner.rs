@@ -270,15 +270,18 @@ pub fn run_experiments_with(ids: &[String], quick: bool, profiled: bool) -> Vec<
     parallel::map(ids.to_vec(), move |id| {
         metrics::perf_take(); // clear any carry-over before the experiment
         metrics::shard_take();
-        let wall = if profiled {
+        let alloc0 = if profiled {
             profile::install();
-            Some((std::time::Instant::now(), profile::alloc::snapshot()))
+            Some(profile::alloc::snapshot())
         } else {
             None
         };
         // The tree's root (a no-op guard when unprofiled), held across
-        // monitor construction and report drain so even microsecond
-        // analysis-only experiments meet the span-coverage floor.
+        // monitor construction and report drain. The wall clock it is
+        // judged against starts just before it opens and stops just after
+        // it closes, so even microsecond analysis-only experiments meet
+        // the span-coverage floor.
+        let t0 = std::time::Instant::now();
         let root = profile::span("experiment");
         let mon = Rc::new(RefCell::new(monitor::Monitor::new(
             monitor::MonitorConfig::default(),
@@ -304,11 +307,12 @@ pub fn run_experiments_with(ids: &[String], quick: bool, profiled: bool) -> Vec<
         }
         let audit = mon.borrow_mut().take_report();
         drop(root);
-        let profile = wall.map(|(t0, alloc0)| {
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        let profile = alloc0.map(|alloc0| {
             let report = profile::take().unwrap_or_default();
             let alloc =
                 profile::alloc::snapshot().map(|now| now.since(&alloc0.unwrap_or_default()));
-            ExperimentProfile::from_report(report, t0.elapsed().as_nanos() as u64, alloc)
+            ExperimentProfile::from_report(report, wall_ns, alloc)
         });
         ExperimentRun {
             id,

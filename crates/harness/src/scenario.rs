@@ -6,17 +6,19 @@
 //! loop itself lives in the `netsim` crate and is generic over the
 //! endpoint traits, so LAMS-DLC, SR-HDLC and GBN-HDLC all run over
 //! **identical** channel error realisations for a given seed (common
-//! random numbers).
+//! random numbers). Every topology builder here, in [`crate::duplex`]
+//! and in [`crate::relay`] runs its simulation as one netsim shard in
+//! one window and reports each flow through one shared helper.
 
 use crate::link::{Channel, DelayModel, ErrorModel, Outage};
-use crate::metrics::RunReport;
+use crate::metrics::{Collector, RunReport};
 use crate::node::{Driver, RxEndpoint, TxEndpoint};
 use crate::traffic::{Pattern, TrafficGen};
 use netsim::channel::GilbertElliott;
 use netsim::Machine;
-use netsim::{NodeRole, SimBuilder, SimEvent};
+use netsim::{FinishedShard, ShardBuilder};
 use orbit::propagation_delay_s;
-use sim_core::{Duration, EventQueue, SeedSplitter};
+use sim_core::{Duration, SeedSplitter};
 
 /// Gilbert–Elliott burst-error configuration (residual BERs per state).
 #[derive(Clone, Debug)]
@@ -230,29 +232,59 @@ impl ScenarioConfig {
     }
 }
 
-/// Event queue driving a scenario run — exposed so callers iterating
-/// many runs (multi-pass, sweeps) can reuse one queue's allocation via
-/// [`run_in`] / [`run_lams_in`].
-pub type ScenarioQueue<F> = EventQueue<SimEvent<F>>;
-
-/// Drive one scenario with the given endpoints. `protocol` labels the
-/// report.
-pub fn run<T, R>(cfg: &ScenarioConfig, tx: T, rx: R, protocol: &str) -> RunReport
+/// Run `b`'s simulation on this thread as one shard in one window up to
+/// `deadline`, folding its queue profile into the thread's perf
+/// accumulator.
+pub(crate) fn run_one_window<T, R>(
+    b: ShardBuilder<T, R, Collector>,
+    deadline: Duration,
+) -> FinishedShard<T, R, Collector>
 where
     T: TxEndpoint,
     R: RxEndpoint<Frame = T::Frame>,
 {
-    run_in(cfg, tx, rx, protocol, &mut EventQueue::new())
+    let fin = b.build().expect("topology wiring is valid").run(deadline);
+    crate::metrics::perf_absorb(&fin.queue, fin.wall_secs);
+    fin
 }
 
-/// [`run`], reusing `q`'s allocation (the queue is reset first).
-pub fn run_in<T, R>(
-    cfg: &ScenarioConfig,
-    tx: T,
-    rx: R,
+/// One flow's report from a finished run: `col`'s measurements, the
+/// run's finish, deadline and perf, link failure and transmission totals
+/// over the flow's senders `txs` (counters from the first, none when
+/// `txs` is empty) and the destination receiver `rx`'s counters.
+pub(crate) fn flow_report<T, R>(
     protocol: &str,
-    q: &mut ScenarioQueue<T::Frame>,
+    col: Collector,
+    offered: u64,
+    fin: &FinishedShard<T, R, Collector>,
+    txs: &[T],
+    rx: &R,
+    t_f: Duration,
 ) -> RunReport
+where
+    T: TxEndpoint,
+    R: RxEndpoint<Frame = T::Frame>,
+{
+    let mut report = col.finish(
+        protocol,
+        offered,
+        fin.finished_at,
+        fin.deadline_hit,
+        txs.iter().any(|t| t.is_failed()),
+        txs.iter().map(|t| t.transmissions()).sum(),
+        txs.iter().map(|t| t.retransmissions()).sum(),
+        t_f,
+        txs.first().map(|t| t.extra_stats()).unwrap_or_default(),
+        rx.extra_stats(),
+    );
+    report.queue = fin.queue;
+    report.wall_secs = fin.wall_secs;
+    report
+}
+
+/// Drive one scenario with the given endpoints. `protocol` labels the
+/// report.
+pub fn run<T, R>(cfg: &ScenarioConfig, tx: T, rx: R, protocol: &str) -> RunReport
 where
     T: TxEndpoint,
     R: RxEndpoint<Frame = T::Frame>,
@@ -265,52 +297,37 @@ where
         cfg.n_packets,
         SeedSplitter::new(cfg.seed).stream(2),
     );
-    let t_f_channel = cfg.t_f();
 
-    let mut b = SimBuilder::new(cfg.payload_bytes, cfg.deadline, cfg.sample_every);
-    let a = b.node(NodeRole::Source);
-    let z = b.node(NodeRole::Sink);
-    let lf = b.link(a, z, fwd, "fwd");
-    let lr = b.link(z, a, rev, "rev");
-    let t = b.tx(a, lf, tx);
-    let r = b.rx(z, lr, rx);
+    let mut b = ShardBuilder::new(cfg.payload_bytes);
+    let lf = b.link(0, fwd, "fwd");
+    let lr = b.link(1, rev, "rev");
+    let t = b.tx(lf, tx);
+    let r = b.rx(lr, rx);
     b.listen(lf, r);
     b.listen(lr, t);
-    let c = b.collector(crate::metrics::Collector::new());
-    b.source(gen, t, c);
+    let c = b.collector(Collector::new());
+    b.source(gen, t, Some(c), 0);
+    b.expect(c, cfg.n_packets);
     b.deliver(r, c);
     b.sample(c, t, vec![r]);
+    b.sample_every(cfg.sample_every);
     b.holding(c, t);
 
-    let out = b.build().expect("point-to-point wiring is valid").run_in(q);
-    let tx = &out.txs[0];
-    let rx = &out.rxs[0];
-    let col = out.collectors.into_iter().next().expect("one collector");
-    let mut report = col.finish(
+    let mut fin = run_one_window(b, cfg.deadline);
+    let col = fin.collectors.pop().expect("one collector");
+    flow_report(
         protocol,
-        out.issued[0],
-        out.finished_at,
-        out.deadline_hit,
-        tx.is_failed(),
-        tx.transmissions(),
-        tx.retransmissions(),
-        t_f_channel,
-        tx.extra_stats(),
-        rx.extra_stats(),
-    );
-    report.queue = out.queue;
-    report.wall_secs = out.wall_secs;
-    crate::metrics::perf_absorb(&report.queue, report.wall_secs);
-    report
+        col,
+        fin.issued[0],
+        &fin,
+        &fin.txs,
+        &fin.rxs[0],
+        cfg.t_f(),
+    )
 }
 
 /// Run the scenario under LAMS-DLC.
 pub fn run_lams(cfg: &ScenarioConfig) -> RunReport {
-    run_lams_in(cfg, &mut EventQueue::new())
-}
-
-/// [`run_lams`], reusing `q`'s allocation across runs.
-pub fn run_lams_in(cfg: &ScenarioConfig, q: &mut ScenarioQueue<lams_dlc::Frame>) -> RunReport {
     let lcfg = cfg.lams_config();
     let tx =
         Driver::new(lams_dlc::Sender::new(lcfg.clone()).with_trace(telemetry::global_handle("tx")));
@@ -321,7 +338,7 @@ pub fn run_lams_in(cfg: &ScenarioConfig, q: &mut ScenarioQueue<lams_dlc::Frame>)
         }
         .with_trace(telemetry::global_handle("rx")),
     );
-    run_in(cfg, tx, rx, "lams", q)
+    run(cfg, tx, rx, "lams")
 }
 
 /// Run the scenario under SR-HDLC.

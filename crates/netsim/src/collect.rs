@@ -1,8 +1,8 @@
-//! The measurement contract the engine feeds.
+//! The measurement contract the event loop feeds.
 //!
-//! The engine is generic over its collector so the harness can keep its
+//! The loop is generic over its collector so the harness can keep its
 //! report machinery (resequencer-based dedup, delay summaries, JSON
-//! rendering) out of this crate. The engine calls these hooks at the
+//! rendering) out of this crate. The loop calls these hooks at the
 //! exact points the original hand-rolled loops did: `on_push` when an
 //! SDU enters a source sender, `on_deliver` when a sink receiver
 //! completes a delivery, `on_holding` after holding samples drain, and
@@ -10,7 +10,7 @@
 
 use sim_core::Instant;
 
-/// Per-flow measurement hooks driven by the engine.
+/// Per-flow measurement hooks driven by the event loop.
 pub trait Collect {
     /// An SDU entered the flow's source sender.
     fn on_push(&mut self, now: Instant, id: u64);

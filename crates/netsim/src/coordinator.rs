@@ -22,12 +22,12 @@
 //! every trace record, counter and collector statistic — is identical
 //! at any shard count.
 //!
-//! Termination mirrors the serial engine's exits: completion at
-//! `T* = max(done_since)` once every shard has committed through `T*`
-//! with nothing left to route; deadline when every shard has committed
-//! to the deadline without completing; stall (queue exhaustion) at the
-//! last processed instant; and sender-declared link failure at the
-//! failure instant.
+//! Termination mirrors the exits of a one-window run
+//! ([`ShardSim::run`]): completion at `T* = max(done_since)` once every
+//! shard has committed through `T*` with nothing left to route;
+//! deadline when every shard has committed to the deadline without
+//! completing; stall (queue exhaustion) at the last processed instant;
+//! and sender-declared link failure at the failure instant.
 //!
 //! Tracing: the coordinator emits `RunStarted`/`RunFinished` itself and
 //! merges the per-shard buffered records by `(t, node label)` — a
@@ -86,7 +86,7 @@ pub struct ShardProfile {
     /// Granted windows that processed zero events (pure lookahead
     /// stalls: the shard advanced its commit front but had no work).
     pub null_windows: u64,
-    /// Events processed: pushes and arrivals only. Wakes are engine
+    /// Events processed: pushes and arrivals only. Wakes are loop
     /// bookkeeping whose count varies with the window schedule, so
     /// excluding them keeps this total invariant across shard counts.
     pub events: u64,
@@ -118,7 +118,7 @@ pub struct ShardProfile {
 impl ShardProfile {
     /// Parallel efficiency: `Σ busy / (shards × wall)`. Exactly `1.0`
     /// for single-shard runs (there is no coordination to lose time
-    /// to — the degenerate window *is* the serial engine).
+    /// to — the degenerate window *is* the one-window run).
     pub fn efficiency(&self) -> f64 {
         if self.shards <= 1 {
             return 1.0;
@@ -225,6 +225,8 @@ struct ThreadCfg {
     profiled: bool,
     /// Shared wall-clock epoch for window placement.
     epoch: std::time::Instant,
+    /// The run's deadline, where sampling ticks stop.
+    deadline: Instant,
 }
 
 /// Coordinator-side view of one shard between rounds.
@@ -246,8 +248,9 @@ struct ShardState<F> {
 /// output on the same thread. Outputs come back in shard order.
 ///
 /// With one shard the same machinery runs the whole simulation in a
-/// single window with serial stop-on-done semantics — the degenerate
-/// case is the reference the multi-shard runs are checked against.
+/// single window with [`ShardSim::run`]'s stop-on-done semantics — the
+/// degenerate case is the reference the multi-shard runs are checked
+/// against.
 pub fn run_sharded<T, R, C, O, Build, Fin>(
     plan: &CutPlan,
     deadline: Duration,
@@ -265,12 +268,13 @@ where
 {
     let n = plan.n_shards.max(1);
     let timer = RunTimer::start();
+    let deadline = Instant::ZERO + deadline;
     let cfg = ThreadCfg {
         forward_traces: telemetry::global_sink().is_some(),
         profiled: profile::enabled(),
         epoch: std::time::Instant::now(),
+        deadline,
     };
-    let deadline = Instant::ZERO + deadline;
 
     // Per-shard inbound cut lists for the safe horizon (sender shard,
     // delay, global link id), and the link → destination routing table.
@@ -391,8 +395,9 @@ fn shard_thread<T, R, C, O, Build, Fin>(
             return;
         }
     };
-    sim.start();
+    sim.start(cfg.deadline);
     let mut blocked_ns = 0u64;
+    let mut busy_total_ns = 0u64;
     loop {
         let wait0 = now_ns();
         match cmds.recv() {
@@ -413,14 +418,16 @@ fn shard_thread<T, R, C, O, Build, Fin>(
                     sim.run_window(grant, stop_on_done)
                 };
                 let busy_ns = now_ns() - t0;
+                busy_total_ns += busy_ns;
                 let _ = up.send(Up::Window(s, summary, t0, busy_ns));
             }
             Ok(Cmd::Finish {
                 finished_at,
                 deadline_hit,
             }) => {
-                let queue = sim.queue_profile();
-                let out = finish(s, sim.into_finished(finished_at, deadline_hit));
+                let fin = sim.into_finished(finished_at, deadline_hit, busy_total_ns as f64 * 1e-9);
+                let queue = fin.queue;
+                let out = finish(s, fin);
                 let profile = if cfg.profiled { profile::take() } else { None };
                 uninstall(&sink);
                 let records = sink.map(|b| b.borrow_mut().take()).unwrap_or_default();
@@ -526,7 +533,7 @@ fn coordinate<F: Send, O: Send>(
     let mut round: u64 = 0;
 
     let (finished_at, deadline_hit) = loop {
-        // Exits, in the serial engine's priority order: failure, global
+        // Exits, in the one-window run's priority order: failure, global
         // completion, queue exhaustion, deadline.
         if let Some(f) = states.iter().filter_map(|st| st.failed_at).min() {
             break (f, false);
@@ -545,7 +552,7 @@ fn coordinate<F: Send, O: Send>(
         }
         let any_events = states.iter().any(|st| st.next_event.is_some());
         if !any_events && no_pending && !all_done {
-            // Queue exhaustion without completion: the serial loop just
+            // Queue exhaustion without completion: a one-window run just
             // runs out of events.
             let last = states.iter().map(|st| st.last_event_at).max();
             break (last.unwrap_or(Instant::ZERO), false);
@@ -596,7 +603,7 @@ fn coordinate<F: Send, O: Send>(
 
         // Grants. With one shard there is nothing to coordinate: grant
         // the deadline and stop at local (= global) done, exactly like
-        // the serial loop.
+        // a one-window run.
         let mut awaiting = 0usize;
         for (s, st) in states.iter_mut().enumerate() {
             let mut grant = deadline;
@@ -744,7 +751,7 @@ mod tests {
     use crate::endpoint::FrameMeta;
     use crate::link::{Channel, DelayModel, ErrorModel};
     use crate::shard::{Partition, ShardBuilder};
-    use crate::topology::{LinkSpec, NodeId, NodeRole, Topology};
+    use crate::topology::{LinkSpec, NodeId, Topology};
     use crate::traffic::{Pattern, TrafficGen};
     use bytes::Bytes;
     use sim_core::SeedSplitter;
@@ -854,12 +861,10 @@ mod tests {
     }
 
     fn chain_topo(hops: usize) -> Topology {
-        let mut t = Topology::default();
-        t.roles.push(NodeRole::Source);
-        for _ in 1..hops {
-            t.roles.push(NodeRole::Relay);
-        }
-        t.roles.push(NodeRole::Sink);
+        let mut t = Topology {
+            nodes: hops + 1,
+            ..Topology::default()
+        };
         for i in 0..hops {
             t.links.push(LinkSpec {
                 from: NodeId(i),
@@ -927,7 +932,7 @@ mod tests {
                 // Receivers for hops terminating in this shard: the stub
                 // hop and every non-cut owned hop. Draining right after
                 // the arrival link lets a forward catch the same pump
-                // pass, like the serial relay wiring.
+                // pass, like `harness::relay`'s wiring.
                 let mut rxs = Vec::new(); // (hop, rx, local link)
                 if let Some(sl) = stub {
                     rxs.push((

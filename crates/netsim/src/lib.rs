@@ -5,15 +5,16 @@
 //!
 //! Topology-generic discrete-event network simulation engine.
 //!
-//! Two event loops drive an arbitrary directed-link topology of
-//! protocol endpoints, and both run one shared pump (a crate-private
-//! module): endpoint start-up, arrival fan-out, timers, per-link
-//! transmitter service in priority order, receiver drains and the
-//! single-pending-wake rule exist once. The loops differ only in how
-//! they schedule events and break same-instant ties. The harness
+//! One event loop drives an arbitrary directed-link topology of
+//! protocol endpoints: [`ShardSim`], over a crate-private pump
+//! (endpoint start-up, arrival fan-out, timers, per-link transmitter
+//! service in priority order, receiver drains and the
+//! single-pending-wake rule). A simulation runs either as one shard in
+//! one window on the calling thread ([`ShardSim::run`]) or split
+//! across threads by the conservative [`coordinator`]. The harness
 //! crate's point-to-point, full-duplex and relay runners are thin
-//! topology builders over the serial loop; its sharded relay chain
-//! runs on the sharded one.
+//! topology builders run as one shard; its sharded relay chain runs
+//! under the coordinator.
 //!
 //! * [`endpoint`] — the sans-IO driving contract ([`TxEndpoint`] /
 //!   [`RxEndpoint`]) the event loops poll;
@@ -26,32 +27,29 @@
 //! * [`link`] — the directional channel model: serialization, fixed or
 //!   orbital propagation delay, uniform/burst error processes, outages;
 //! * [`traffic`] — CBR / Poisson / on-off / batch SDU generators;
-//! * [`topology`] — nodes with [`NodeRole`]s, directed links, and the
+//! * [`topology`] — nodes, directed links, and the
 //!   id types wiring endpoints to them;
 //! * [`collect`] — the [`Collect`] measurement trait the loops feed;
-//! * [`engine`] — [`SimBuilder`] / [`Sim`]: the serial event loop
-//!   (push / arrive / sample / wake, insertion-order ties) that runs
-//!   every experiment but the sharded one;
-//! * [`shard`] — [`Partition`], [`ShardBuilder`] / [`ShardSim`]: one
-//!   shard's slice of a simulation, with cut links and canonical
-//!   same-instant dispatch, run in granted windows;
+//! * [`shard`] — [`ShardBuilder`] / [`ShardSim`]: the event loop (push
+//!   / arrive / sample / wake in a canonical same-instant order) over
+//!   one shard's slice of a simulation, and the [`Partition`] that cuts
+//!   a topology into shards;
 //! * [`coordinator`] — [`run_sharded`]: the conservative window
 //!   coordinator that runs one [`ShardSim`] per thread and routes
 //!   frames across cut links.
 //!
 //! Determinism: all randomness flows through per-stream
 //! [`sim_core::SeedSplitter`] RNGs owned by channels and traffic
-//! generators (common random numbers), and each loop breaks timestamp
-//! ties deterministically (insertion order serially, a canonical key
-//! across shards) — a run is a pure function of its configuration and
-//! seed.
+//! generators (common random numbers), and the loop breaks timestamp
+//! ties by a canonical key that does not depend on the partition — a
+//! run is a pure function of its configuration and seed, at any shard
+//! count.
 
 pub mod channel;
 pub mod collect;
 pub mod coordinator;
 pub mod driver;
 pub mod endpoint;
-pub mod engine;
 pub mod link;
 mod pump;
 pub mod shard;
@@ -63,7 +61,6 @@ pub use collect::Collect;
 pub use coordinator::{run_sharded, ShardProfile, ShardedOutcome};
 pub use driver::Driver;
 pub use endpoint::{FrameMeta, RxEndpoint, TxEndpoint};
-pub use engine::{Outcome, Sim, SimBuilder, SimEvent};
 pub use link::{Channel, DelayModel, ErrorModel, Fate, Outage};
 pub use proto_core::{Machine, ReceiverMachine, SenderMachine};
 pub use shard::{
@@ -71,6 +68,6 @@ pub use shard::{
     WindowSummary,
 };
 pub use topology::{
-    ColId, EndpointId, LinkId, LinkSpec, NodeId, NodeRole, RxId, Topology, TopologyError, TxId,
+    ColId, EndpointId, LinkId, LinkSpec, NodeId, RxId, Topology, TopologyError, TxId,
 };
 pub use traffic::{Pattern, TrafficGen};

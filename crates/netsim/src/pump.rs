@@ -1,11 +1,11 @@
-//! The per-instant endpoint/link machinery both event loops share.
+//! The per-instant endpoint/link machinery of the event loop.
 //!
-//! [`crate::engine::Sim`] and [`crate::shard::ShardSim`] differ only in
-//! how they schedule events and break same-instant ties. Everything they
-//! do with endpoints and links once an instant is chosen lives here, once:
+//! [`crate::shard::ShardSim`] owns scheduling and same-instant ordering;
+//! everything it does with endpoints and links once an instant is chosen
+//! lives here:
 //!
-//! * [`Wiring`] — the builder half both `SimBuilder` and `ShardBuilder`
-//!   embed: endpoint/collector registration, per-link sender priority and
+//! * [`Wiring`] — the builder half `ShardBuilder` embeds:
+//!   endpoint/collector registration, per-link sender priority and
 //!   listener lists, delivery targets and drain points, and their
 //!   validation;
 //! * [`Pump`] — the runtime half: starting endpoints, arrival fan-out to
@@ -25,7 +25,7 @@ use telemetry::{Trace, TraceEvent};
 
 /// Where a receiver's completed deliveries go.
 #[derive(Clone, Copy)]
-pub(crate) enum Delivery {
+enum Delivery {
     /// Terminal: credit the collector (the flow's destination).
     Collect(ColId),
     /// Store-and-forward: push into a co-located sender.
@@ -37,16 +37,16 @@ pub(crate) enum Delivery {
 /// transmitter), and arrivals are offered to listeners in registration
 /// order (all but the last get a clone).
 pub(crate) struct Wiring<T, R, C> {
-    pub(crate) txs: Vec<T>,
-    pub(crate) tx_link: Vec<LinkId>,
-    pub(crate) rxs: Vec<R>,
+    txs: Vec<T>,
+    tx_link: Vec<LinkId>,
+    rxs: Vec<R>,
     /// `None` for a receiver that never transmits.
-    pub(crate) rx_link: Vec<Option<LinkId>>,
+    rx_link: Vec<Option<LinkId>>,
     pub(crate) senders: Vec<Vec<EndpointId>>,
     pub(crate) listeners: Vec<Vec<EndpointId>>,
     rx_delivery: Vec<Option<Delivery>>,
     rx_drain_after: Vec<Option<LinkId>>,
-    pub(crate) collectors: Vec<C>,
+    collectors: Vec<C>,
     /// Registrations that named an unknown link or receiver, reported by
     /// `finish`.
     errors: Vec<String>,
@@ -143,7 +143,7 @@ where
 
     /// Validate the wiring, appending every problem to `errors`, and
     /// produce the runtime half. The result is only runnable when
-    /// `errors` stays empty; builders may inspect its deliveries first.
+    /// `errors` stays empty.
     pub(crate) fn finish(
         mut self,
         payload_bytes: usize,
@@ -203,9 +203,9 @@ where
 }
 
 /// Runtime half: the endpoints, collectors and per-link wiring of one
-/// loop, with every operation the loops perform on them at an instant.
+/// shard, with every operation the loop performs on them at an instant.
 ///
-/// The per-instant methods are `#[inline]`: the loops call them per link
+/// The per-instant methods are `#[inline]`: the loop calls them per link
 /// per instant, and without the hint a release build may place them in
 /// another codegen unit than the loop and not inline them, which
 /// measured 10–20% slower on full-size E1 and E18.
@@ -215,7 +215,7 @@ pub(crate) struct Pump<T, R, C> {
     pub(crate) collectors: Vec<C>,
     senders: Vec<Vec<EndpointId>>,
     listeners: Vec<Vec<EndpointId>>,
-    pub(crate) deliveries: Vec<Delivery>,
+    deliveries: Vec<Delivery>,
     drains: Vec<Vec<RxId>>,
     /// The SDU payload every push and forward hands a sender.
     pub(crate) payload: Bytes,
@@ -339,7 +339,7 @@ where
 }
 
 /// The instant to wake at after pumping `now`, given the endpoints'
-/// earliest `timer` and the loop's channels: the earliest of the timer
+/// earliest `timer` and the shard's channels: the earliest of the timer
 /// and every busy channel's `free_at`. A timer at or before `now` means
 /// the protocol is blocked on a busy transmitter (the pump already did
 /// everything else possible at `now`): waking at `now` would spin
@@ -358,7 +358,7 @@ pub(crate) fn wake_at<'a>(
     }
 }
 
-/// The loop's one pending wake event. Re-arming an earlier wake
+/// The shard's one pending wake event. Re-arming an earlier wake
 /// *reschedules* it (O(1) on the slab queue) instead of piling up stale
 /// duplicates that would each buy a no-op pump pass.
 #[derive(Default)]
@@ -541,7 +541,8 @@ pub(crate) mod testkit {
     pub(crate) struct CountCollector {
         pub(crate) pushed: u64,
         pub(crate) delivered: u64,
-        pub(crate) samples: u64,
+        /// Every sampling tick's instant and sender-buffer reading.
+        pub(crate) tx_samples: Vec<(Instant, usize)>,
     }
 
     impl Collect for CountCollector {
@@ -552,8 +553,8 @@ pub(crate) mod testkit {
             self.delivered += 1;
         }
         fn on_holding(&mut self, _samples: &[f64]) {}
-        fn sample(&mut self, _now: Instant, _tx: usize, _rx: usize, _rate: f64) {
-            self.samples += 1;
+        fn sample(&mut self, now: Instant, tx: usize, _rx: usize, _rate: f64) {
+            self.tx_samples.push((now, tx));
         }
         fn delivered_unique(&self) -> u64 {
             self.delivered

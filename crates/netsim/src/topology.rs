@@ -1,11 +1,11 @@
-//! Nodes, roles, directed links, and the ids wiring endpoints to them.
+//! Nodes, directed links, and the ids wiring endpoints to them.
 //!
-//! A [`Topology`] is the static shape of a simulation: which nodes
-//! exist, what role each plays, and which directed links connect them.
-//! Endpoints, collectors and traffic sources attach to this shape
-//! through the [`crate::engine::SimBuilder`]; `build()` validates the
-//! wiring against the declared roles and returns a [`TopologyError`]
-//! listing every inconsistency it finds.
+//! A [`Topology`] is the static shape of a simulation: how many nodes
+//! exist and which directed links connect them.
+//! [`crate::shard::Partition::plan`] cuts this shape into shards; each
+//! shard's endpoints, collectors and traffic sources attach through a
+//! [`crate::shard::ShardBuilder`], whose `build()` returns a
+//! [`TopologyError`] listing every inconsistency it finds.
 
 use std::fmt;
 
@@ -51,22 +51,6 @@ impl From<RxId> for EndpointId {
     }
 }
 
-/// What a node does in the topology — validated against its wiring.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeRole {
-    /// Originates traffic: hosts a sender fed by a traffic source.
-    Source,
-    /// Terminates traffic: hosts a receiver delivering to a collector.
-    Sink,
-    /// Store-and-forward: hosts a receiver forwarding into a co-located
-    /// sender.
-    Relay,
-    /// Full-duplex endpoint: originates *and* terminates a flow (its
-    /// receiver's control frames share the node's transmitter with its
-    /// sender's I-frames).
-    Duplex,
-}
-
 /// One directed link: frames flow `from → to`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkSpec {
@@ -78,21 +62,16 @@ pub struct LinkSpec {
     pub dir: &'static str,
 }
 
-/// The static shape of a simulation: node roles plus directed links.
+/// The static shape of a simulation: nodes plus directed links.
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
-    /// Role of each node, indexed by [`NodeId`].
-    pub roles: Vec<NodeRole>,
+    /// Number of nodes; [`NodeId`]s index `0..nodes`.
+    pub nodes: usize,
     /// The directed links, indexed by [`LinkId`].
     pub links: Vec<LinkSpec>,
 }
 
 impl Topology {
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.roles.len()
-    }
-
     /// Number of directed links.
     pub fn link_count(&self) -> usize {
         self.links.len()

@@ -123,9 +123,16 @@ impl Profiler {
     /// (including the root sentinel; `cap` is clamped to at least 2 so
     /// one real span always fits).
     pub fn new(cap: usize) -> Self {
+        // Reserve the node table and the root's child list up front, so
+        // opening the first spans allocates nothing inside the window a
+        // caller times around them.
+        let mut nodes = Vec::with_capacity(cap.clamp(2, DEFAULT_SPAN_CAP));
+        let mut root = NodeData::new("");
+        root.children.reserve(4);
+        nodes.push(root);
         Profiler {
             epoch: Instant::now(),
-            nodes: vec![NodeData::new("")],
+            nodes,
             stack: Vec::with_capacity(16),
             cap: cap.max(2),
             dropped: 0,

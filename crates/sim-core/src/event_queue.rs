@@ -402,6 +402,16 @@ impl<E> EventQueue<E> {
         self.pop().map(|(_, e)| e)
     }
 
+    /// Pop the next event only if it fires at or before `limit` — the
+    /// fused peek-then-pop a loop running up to a horizon wants.
+    pub fn pop_through(&mut self, limit: Instant) -> Option<(Instant, E)> {
+        self.drop_dead();
+        if self.heap.peek()?.at > limit {
+            return None;
+        }
+        self.pop()
+    }
+
     fn drop_dead(&mut self) {
         while let Some(top) = self.heap.peek() {
             if self.is_live(top.seq) {
@@ -645,6 +655,21 @@ mod tests {
         assert_eq!(q.pop_at(t), Some("x"));
         assert_eq!(q.pop_at(t), None);
         assert_eq!(q.pop().unwrap().1, "y");
+    }
+
+    #[test]
+    fn pop_through_stops_past_the_limit_and_skips_cancelled() {
+        let mut q = EventQueue::new();
+        let dead = q.schedule(Instant::from_millis(1), "dead");
+        q.schedule(Instant::from_millis(3), "x");
+        q.schedule(Instant::from_millis(9), "y");
+        q.cancel(dead);
+        let limit = Instant::from_millis(3);
+        assert_eq!(q.pop_through(limit), Some((limit, "x")));
+        assert_eq!(q.pop_through(limit), None);
+        assert_eq!(q.len(), 1, "the later event stays queued");
+        assert_eq!(q.pop_through(Instant::from_millis(9)).unwrap().1, "y");
+        assert_eq!(q.pop_through(Instant::from_millis(99)), None);
     }
 
     #[test]
